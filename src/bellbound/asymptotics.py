@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError
-from .series import BellQuery, bell_dobinski, p_max_limit
+from .errors import DomainError
+from .series import BellQuery, bell_dobinski, lambert_w, p_max_limit
 
 
 @dataclass(frozen=True)
@@ -31,27 +31,6 @@ def debruijn_expansion(p: float) -> ExpansionValue:
     llp = math.log(lp)
     terms = (lp, -llp, -1.0, llp / lp, 1.0 / lp, 0.5 * (llp / lp) ** 2)
     return ExpansionValue(p=p, partial_terms=terms, total=math.fsum(terms))
-
-
-def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 60) -> float:
-    """Principal-branch W(x) for x >= 0: the solution of w * e^w = x.
-
-    Halley iteration with a residual-based stop; seeds: log1p(x) for x >= 1
-    and the series start x*(1 - x) near 0.
-    """
-    if not (x >= 0 and math.isfinite(x)):
-        raise DomainError(f"lambert_w requires finite x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    w = math.log1p(x) if x >= 1.0 else x * (1.0 - x)
-    for _ in range(max_iter):
-        ew = math.exp(w)
-        resid = w * ew - x
-        if abs(resid) <= tol * max(1.0, x):
-            return w
-        wp1 = w + 1.0
-        w -= resid / (ew * wp1 - (w + 2.0) * resid / (2.0 * wp1))
-    raise BudgetError(f"lambert_w failed to converge for x={x}")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,12 @@ from .series import (
     BellQuery,
     Regime,
     bell_dobinski,
+    lambert_w,
     log_mgf_bound,
     log_stirling_zeta,
     log_term,
     p_max_limit,
+    peak_index,
 )
 
 K_PLUS = math.exp((math.e**2 - 3.0) / 2.0)
@@ -58,27 +60,17 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12,
     return x, f(x)
 
 
-def _lambda_cap(q: BellQuery) -> float:
-    # Keep beta * e^lambda within overflow-safe territory; the optimum
-    # lambda* solves lambda * e^lambda = p/beta, so beta*e^{lambda*} = p/lambda*
-    # and the cap is never binding at the minimum.
-    return min(max(2.0, math.log1p(q.ratio) + 1.0),
-               math.log(700.0 * (q.p + 1.0) / q.beta))
-
-
-def upper_g_optimized(q: BellQuery, opt_tol: float = 1e-12) -> tuple[float, float]:
+def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
     """Optimized MGF upper bound on B^{1/p}: g_beta(p) = inf over lambda of
     the Chernoff bound.  Returns (bound, lambda_star).
 
-    The log-objective is strictly convex in lambda, so golden-section on a
-    bracket growing from near 0 to the cap locates the infimum.
+    The log-objective is strictly convex in lambda and stationary where
+    lambda * e^lambda = p/beta, so lambda_star = W(p/beta) in closed form.
     """
     if q.p < 1:
         raise DomainError(f"upper_g_optimized requires p >= 1, got p={q.p}")
-    lam_hi = _lambda_cap(q)
-    lam, phi = golden_section_min(lambda l: log_mgf_bound(q, l), 1e-9, lam_hi,
-                                  tol=opt_tol)
-    return math.exp(phi), lam
+    lam = lambert_w(q.ratio)
+    return math.exp(log_mgf_bound(q, lam)), lam
 
 
 def _lambda0(q: BellQuery) -> float:
@@ -123,24 +115,16 @@ class H0Result:
         return math.exp(self.log_bound_on_b / self.p)
 
 
-def lower_h0_search(q: BellQuery, k_budget: int = 10_000_000) -> H0Result:
+def lower_h0_search(q: BellQuery) -> H0Result:
     """Max over integer k >= 1 of the Dobinski term e^{-b} k^p b^k / k!.
 
-    Terms are unimodal in k (strictly decreasing ratio), so the scan stops
-    at the first descent.
+    The terms are unimodal in k (strictly decreasing ratio), so the maximum
+    sits at series.peak_index, found by bisection in O(log(beta + p)).
     """
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
-    k = 1
-    cur = log_term(1, q.p, q.beta)
-    while k < k_budget:
-        nxt = log_term(k + 1, q.p, q.beta)
-        if nxt <= cur:
-            # at most one tie can occur (strictly decreasing ratio); the
-            # earlier index of a tied pair is reported
-            break
-        k, cur = k + 1, nxt
-    return H0Result(log_bound_on_b=cur, k_star=k, p=q.p)
+    k = peak_index(q.p, q.beta)
+    return H0Result(log_bound_on_b=log_term(k, q.p, q.beta), k_star=k, p=q.p)
 
 
 def lower_h_continuous(q: BellQuery, opt_tol: float = 1e-12) -> tuple[float, float]:
@@ -234,23 +218,28 @@ def regime_lower_largebeta(q: BellQuery, use_paper_constant: bool = False,
 
 
 @lru_cache(maxsize=8)
+def _rough_fit_grid(p_lo: float = 2.0, p_hi: float = 200.0,
+                    n: int = 40) -> tuple[float, ...]:
+    """The log grid of p on which the rough constant is fitted, restricted
+    to lnln p > 0 (the normalization flips sign below p = e and diverges
+    at p = e)."""
+    grid = (p_lo * (p_hi / p_lo) ** (i / (n - 1)) for i in range(n))
+    return tuple(p for p in grid if p > math.e)
+
+
+@lru_cache(maxsize=8)
 def fitted_rough_constant(p_lo: float = 2.0, p_hi: float = 200.0,
                           n: int = 40) -> float:
     """Empirical constant for the rough triangle bound, fitted at beta = 1.
 
-    Maximizes (B^{1/p} e ln p / p - 1) * ln p / lnln p over a log grid of p,
-    restricted to lnln p > 0 (the normalization flips sign below p = e and
-    diverges at p = e).
+    Maximizes (B^{1/p} e ln p / p - 1) * ln p / lnln p over the grid of
+    _rough_fit_grid.
     """
     best = 0.0
-    for i in range(n):
-        p = p_lo * (p_hi / p_lo) ** (i / (n - 1))
+    for p in _rough_fit_grid(p_lo, p_hi, n):
         lnp = math.log(p)
-        lnlnp = math.log(lnp) if lnp > 1e-300 else -math.inf
-        if lnlnp <= 0:
-            continue
         root = bell_dobinski(BellQuery(p, 1.0)).root(p)
-        need = (root * math.e * lnp / p - 1.0) * lnp / lnlnp
+        need = (root * math.e * lnp / p - 1.0) * lnp / math.log(lnp)
         best = max(best, need)
     return best
 
@@ -259,11 +248,15 @@ def rough_upper_triangle(q: BellQuery, c3: float | None = None) -> float:
     """Triangle-inequality upper bound on B^{1/p}:
     ceil(beta) * (p / (e ln p)) * (1 + c3 * lnln p / ln p).
 
-    Valid whenever c3 >= the beta = 1 fitted constant and lnln p > 0; for
-    fractional beta the ceiling keeps the sum-of-norms argument applicable.
+    Valid whenever c3 >= the beta = 1 fitted constant and p is at least the
+    first point of the fit's grid (p ~ 2.85); below it the fit says nothing
+    and the formula falls under B^{1/p}, even below 0.  For fractional beta
+    the ceiling keeps the sum-of-norms argument applicable.
     """
-    if q.p < 2:
-        raise DomainError(f"requires p >= 2, got p={q.p}")
+    p_min = _rough_fit_grid()[0]
+    if q.p < p_min:
+        raise DomainError(f"requires p >= {p_min:.4f} (the rough constant's "
+                          f"fitted range), got p={q.p}")
     if q.beta < 1:
         raise DomainError(f"requires beta >= 1, got beta={q.beta}")
     if c3 is None:
@@ -360,7 +353,7 @@ def bound_report(q: BellQuery, opt_tol: float = 1e-12,
     kminus = None
     if regime is Regime.LARGE_P:
         try:
-            g, lam = upper_g_optimized(q, opt_tol)
+            g, lam = upper_g_optimized(q)
             upper_cands.append((g, "GOptimized"))
             witness["lambda_star"] = lam
         except Exception as exc:

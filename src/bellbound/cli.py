@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 domain error, 3 numerical-budget error,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -88,15 +89,26 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def fmt_exp(log_value: float) -> str:
+    """exp(log_value) as fmt renders a float; past the double range, the
+    same 17 significant digits in decimal scientific notation."""
+    if -700.0 < log_value < 700.0:
+        return fmt(math.exp(log_value))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 17
+        return format(decimal.Decimal(log_value).exp(), ".17g")
+
+
 def cmd_eval(args) -> int:
     q = BellQuery(args.p, args.beta)
     res = bell_dobinski(q, tol=args.tol)
     lines = [
-        f"value {fmt(res.value)}",
+        f"value {fmt_exp(res.log_value)}",
         f"log_value {fmt(res.log_value)}",
         f"terms_used {res.terms_used}",
         f"peak_index {res.peak_index}",
         f"tail_bound_rel {fmt(math.exp(res.tail_bound_log))}",
+        f"rounding_bound_rel {fmt(math.exp(res.rounding_bound_log))}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -69,6 +69,13 @@ class TestSchechtman:
         with pytest.raises(DomainError):
             ExtremalProblem(1, 1, 1)
 
+    def test_large_mu(self):
+        # mu = 1e6; B(3, mu) = mu^3 + 3 mu^2 + mu and (b/a)^{3/2} = 1e-9
+        prob = ExtremalProblem(1e3, 1e-3, 3)
+        assert prob.mu == pytest.approx(1e6, rel=1e-12)
+        assert schechtman_extremal(prob) == pytest.approx(
+            1e9 + 3e3 + 1e-3, rel=1e-10)
+
     @given(a=st.floats(0.1, 10), b=st.floats(0.1, 10))
     @settings(max_examples=100, deadline=None)
     def test_p2_closed_form(self, a, b):

@@ -4,6 +4,7 @@ import pytest
 
 from bellbound import BellQuery, DomainError, bell_dobinski, mgf_bound_at_lambda
 from bellbound.bounds import (
+    _rough_fit_grid,
     K_MINUS_FORMULA,
     K_MINUS_PAPER,
     K_PLUS,
@@ -20,7 +21,7 @@ from bellbound.bounds import (
     upper_closed_form_largep,
     upper_g_optimized,
 )
-from bellbound.series import Regime, log_term
+from bellbound.series import Regime, log_term, peak_index
 
 
 def series_root(p, beta):
@@ -54,6 +55,12 @@ class TestUpperGOptimized:
         g, _ = upper_g_optimized(BellQuery(2, 1))
         assert g >= math.sqrt(2)
         assert g >= series_root(2, 1)
+
+    @pytest.mark.parametrize("p,beta", [(22, 39977.67), (2.37, 13237.85)])
+    def test_large_beta(self, p, beta):
+        # beta > 700 (p + 1): lambda* = W(p/beta) is below 1e-3
+        g, _ = upper_g_optimized(BellQuery(p, beta))
+        assert g >= series_root(p, beta)
 
     def test_witness_stationarity(self):
         # interior optimum solves lambda * e^lambda = p / beta
@@ -104,6 +111,12 @@ class TestLowerH0:
             res = lower_h0_search(BellQuery(p, beta))
             log_b = bell_dobinski(BellQuery(p, beta)).log_value
             assert res.log_bound_on_b <= log_b + 1e-12
+
+    def test_huge_beta_without_walk(self):
+        # the peak is found by bisection, in O(log beta) steps
+        res = lower_h0_search(BellQuery(3, 1e12))
+        assert res.k_star == peak_index(3, 1e12)
+        assert abs(res.k_star - 1e12) < 10
 
     def test_witness_is_argmax(self):
         for p, beta in [(10, 1), (2, 10), (77, 13)]:
@@ -203,6 +216,21 @@ class TestRoughTriangle:
         one = rough_upper_triangle(BellQuery(10, 1))
         assert rough_upper_triangle(BellQuery(10, 3)) == pytest.approx(
             3 * one, rel=1e-14)
+
+    def test_refused_below_fitted_range(self):
+        # the fit's first grid point with lnln p > 0 is p ~ 2.8502; below
+        # it the formula falls under B^{1/p}
+        with pytest.raises(DomainError):
+            rough_upper_triangle(BellQuery(2.84, 1))
+
+    def test_holds_from_fitted_range_to_3_5(self):
+        p_min = _rough_fit_grid()[0]
+        assert 2.85 <= p_min < 2.851
+        for p in [p_min + (3.5 - p_min) * i / 12 for i in range(13)]:
+            for beta in [1.0, 2.5, 10.0, 333.3, 1e4, 1e5]:
+                q = BellQuery(p, beta)
+                assert rough_upper_triangle(q) >= series_root(p, beta) * (
+                    1 - 1e-9)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

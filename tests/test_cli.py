@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from bellbound import BellQuery, bell_dobinski
 from bellbound.cli import main
 
 
@@ -39,9 +40,26 @@ class TestEval:
         # p_max is a precondition, hence a domain error
         assert main(["eval", "--p", "800", "--beta", "1"]) == 2
 
+    def test_value_past_double_range(self, capsys):
+        # log B(168, 25.7) ~ 713.7 > log(DBL_MAX)
+        code, out = run_main(["eval", "--p", "168", "--beta", "25.7"], capsys)
+        assert code == 0
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        res = bell_dobinski(BellQuery(168, 25.7))
+        assert float(fields["log_value"]) == res.log_value
+        mantissa, exponent = fields["value"].split("e+")
+        assert int(exponent) == math.floor(res.log_value / math.log(10))
+        assert float(mantissa) == pytest.approx(
+            10 ** (res.log_value / math.log(10) - int(exponent)), rel=1e-12)
+
+    def test_certificate_lines(self, capsys):
+        _, out = run_main(["eval", "--p", "3", "--beta", "1"], capsys)
+        keys = [line.split(" ", 1)[0] for line in out.splitlines()]
+        assert keys[-2:] == ["tail_bound_rel", "rounding_bound_rel"]
+
     def test_budget_error_exit_3(self, capsys):
-        # the series peak for beta = 1e7 sits far past the term budget
-        code = main(["eval", "--p", "2", "--beta", "1e7"])
+        # beta = 1e13 needs tens of millions of terms, far past the budget
+        code = main(["eval", "--p", "2", "--beta", "1e13"])
         err = capsys.readouterr().err
         assert code == 3
         assert "budget" in err

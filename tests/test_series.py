@@ -15,7 +15,7 @@ from bellbound import (
     stirling_second_row,
     stirling_zeta,
 )
-from bellbound.series import log_term
+from bellbound.series import log_term, peak_index
 
 
 class TestBellQuery:
@@ -48,6 +48,13 @@ class TestDobinski:
     def test_known_values(self, p, beta, expected):
         res = bell_dobinski(BellQuery(p, beta), tol=1e-12)
         assert res.value == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("beta", [1e-310, 1e-120, 0.5, 1.0, 3.0, 1e4])
+    def test_poisson_mass_normalizes(self, beta):
+        # for beta <= 1 the largest term is t_0 = e^{-beta}, below peak_index
+        res = bell_dobinski(BellQuery(0.0, beta))
+        assert abs(math.expm1(res.log_value)) <= math.exp(
+            res.tail_bound_log) + math.exp(res.rounding_bound_log)
 
     def test_certificate_below_tol(self):
         res = bell_dobinski(BellQuery(25, 3), tol=1e-10)
@@ -93,6 +100,88 @@ class TestDobinski:
         res = bell_dobinski(BellQuery(400, 1))
         assert math.isfinite(res.log_value)
         assert res.log_value > 700  # value itself would overflow a double
+
+
+class TestPeakIndex:
+    @staticmethod
+    def linear_scan(p, beta):
+        # smallest k >= 1 with t_{k+1} <= t_k: the earlier index of a tie
+        k = 1
+        while log_term(k + 1, p, beta) > log_term(k, p, beta):
+            k += 1
+        return k
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 7.5, 30.0, 500.0])
+    @pytest.mark.parametrize("beta", [1e-3, 0.5, 2.0, 17.3, 300.0, 4321.0])
+    def test_matches_linear_scan(self, p, beta):
+        assert peak_index(p, beta) == self.linear_scan(p, beta)
+
+    def test_exact_tie(self):
+        # p = 1, beta = 2: t_2 = t_3 = 4 e^{-2}; the earlier index wins
+        assert log_term(2, 1.0, 2.0) == log_term(3, 1.0, 2.0)
+        assert peak_index(1.0, 2.0) == 2
+        assert bell_dobinski(BellQuery(1.0, 2.0)).peak_index == 2
+
+    def test_reported_by_series(self):
+        for p, beta in [(10, 1), (3, 1e4), (250, 40)]:
+            assert bell_dobinski(BellQuery(p, beta)).peak_index == peak_index(
+                p, beta)
+
+
+def total_certificate(res) -> float:
+    return math.exp(res.tail_bound_log) + math.exp(res.rounding_bound_log)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("p", [2, 5, 10, 30])
+    @pytest.mark.parametrize("beta", [1e3, 1e4, 1e5])
+    def test_total_error_vs_exact_touchard(self, p, beta):
+        tol = 1e-12
+        res = bell_dobinski(BellQuery(float(p), beta), tol=tol)
+        exact = bell_touchard_exact(p, Fraction(beta))
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        # exp() of log_value adds at most an ulp of its own
+        assert err <= total_certificate(res) + 2.3e-16
+        assert math.exp(res.rounding_bound_log) <= tol / 2
+        assert total_certificate(res) <= tol
+
+    @pytest.mark.parametrize("p", [1.5, 2.7, 7.3, 33.3, 480.5])
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 37.5, 1e3])
+    def test_total_error_vs_mpmath(self, p, beta):
+        mpmath = pytest.importorskip("mpmath")
+        res = bell_dobinski(BellQuery(p, beta), tol=1e-12)
+        with mpmath.workdps(50):
+            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
+            k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
+            total = mpmath.fsum(
+                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
+                           - mpmath.loggamma(k + 1) - mb)
+                for k in range(1, k_max))
+            err = float(abs(mpmath.expm1(mpmath.mpf(res.log_value)
+                                         - mpmath.log(total))))
+        assert err <= total_certificate(res)
+
+    def test_rounding_past_half_tol_is_reported_not_raised(self):
+        # |log B| ~ 5800: log_value's own ulp exceeds tol/2, so the
+        # certificate honestly exceeds tol; truncation is pushed to tol/2
+        tol = 1e-12
+        res = bell_dobinski(BellQuery(500, 1e5), tol=tol)
+        assert math.exp(res.rounding_bound_log) > tol / 2
+        assert math.exp(res.tail_bound_log) <= tol / 2
+
+    def test_beta_1e8_within_budget(self):
+        # B(2, beta) = beta^2 + beta
+        beta = 1e8
+        res = bell_dobinski(BellQuery(2, beta))
+        assert res.terms_used <= 200_000
+        exact = Fraction(beta) ** 2 + Fraction(beta)
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= total_certificate(res) + 2.3e-16
+
+    def test_beta_1e9_exceeds_budget(self):
+        from bellbound import BudgetError
+        with pytest.raises(BudgetError):
+            bell_dobinski(BellQuery(2, 1e9))
 
 
 class TestTouchard:
