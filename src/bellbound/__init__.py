@@ -1,6 +1,6 @@
 """Bilateral non-asymptotic bounds for Poisson moments (Bell functions)."""
 
-from .errors import BellboundError, BudgetError, DomainError, OptimizerFailure
+from .errors import BellboundError, BudgetError, DomainError
 from .series import (
     BellQuery,
     EvalResult,
@@ -21,7 +21,6 @@ __all__ = [
     "BudgetError",
     "DomainError",
     "EvalResult",
-    "OptimizerFailure",
     "Regime",
     "bell_dobinski",
     "bell_touchard_exact",

@@ -17,6 +17,8 @@ from .series import BellQuery, bell_dobinski
 
 ENUM_BUDGET = 1_000_000
 MAX_ATOMS_FOR_ENUM = 8
+REL_SLACK = 1e-9       # relative slack of every verified inequality
+FAMILY_P = (2.0, 3.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class DiscreteDist:
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total}, not 1")
         for v, pr in self.atoms:
-            if v < 0:
-                raise DomainError(f"negative atom value {v}")
+            if not (v >= 0 and math.isfinite(v)):
+                raise DomainError(f"atom value {v} is not finite and >= 0")
             if not (0.0 < pr <= 1.0):
                 raise DomainError(f"atom probability {pr} outside (0, 1]")
 
@@ -87,8 +89,15 @@ class SumMomentResult:
     stderr: float | None = None
 
 
-def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float,
-                    beta_override: float | None = None) -> float:
+def _exp_in_range(log_value: float, what: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} = exp({log_value:.6g}) exceeds the double "
+                          "range") from None
+
+
+def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float) -> float:
     """B(p) * max{sum_j E eta_j^p, (sum_j E eta_j)^p}: an upper bound on
     E(sum eta_j)^p for any non-negative independent sequence, p >= 2."""
     if p < 2:
@@ -97,9 +106,10 @@ def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float,
         raise DomainError(f"sum_p_moments must be positive finite, got {sum_p_moments}")
     if not (sum_means > 0 and math.isfinite(sum_means)):
         raise DomainError(f"sum_means must be positive finite, got {sum_means}")
-    beta = 1.0 if beta_override is None else beta_override
-    log_b = bell_dobinski(BellQuery(p, beta)).log_value
-    return math.exp(log_b + max(math.log(sum_p_moments), p * math.log(sum_means)))
+    log_b = bell_dobinski(BellQuery(p, 1.0)).log_value
+    return _exp_in_range(
+        log_b + max(math.log(sum_p_moments), p * math.log(sum_means)),
+        "rosenthal_bound")
 
 
 def schechtman_extremal(prob: ExtremalProblem) -> float:
@@ -108,7 +118,7 @@ def schechtman_extremal(prob: ExtremalProblem) -> float:
     mu = prob.mu
     log_b = bell_dobinski(BellQuery(prob.p, mu)).log_value
     log_prefactor = prob.p / (prob.p - 1.0) * (math.log(prob.b) - math.log(prob.a))
-    return math.exp(log_prefactor + log_b)
+    return _exp_in_range(log_prefactor + log_b, "schechtman_extremal")
 
 
 def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
@@ -154,26 +164,54 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
                            stderr=stderr)
 
 
-def random_family(rng: np.random.Generator, n_max: int,
-                  state_budget: int = 100_000) -> list[DiscreteDist]:
-    """Random small family for the verifier: 2-4 atoms each, values
-    log-uniform in [1e-2, 1e2], Dirichlet probabilities.  The number of
-    summands is truncated to keep the enumeration within budget."""
-    n = int(rng.integers(1, n_max + 1))
+def random_family(rng: np.random.Generator) -> list[DiscreteDist]:
+    """Random small family for the verifier: 1-12 summands of 2-4 atoms
+    each, values log-uniform in [1e-2, 1e2], Dirichlet probabilities.  The
+    number of summands is truncated to keep the enumeration within 1e5
+    states."""
+    n = int(rng.integers(1, 13))
     dists: list[DiscreteDist] = []
     states = 1
     for _ in range(n):
         k = int(rng.integers(2, 5))
-        if states * k > state_budget:
+        if states * k > 100_000:
             break
         states *= k
         values = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=k))
         probs = rng.dirichlet(np.ones(k))
         probs = probs / probs.sum()
         dists.append(DiscreteDist(tuple(zip(values.tolist(), probs.tolist()))))
-    if not dists:
-        raise AssertionError("state budget too small for a single summand")
     return dists
+
+
+@dataclass(frozen=True)
+class FamilyCheck:
+    """E(sum eta_j)^p by enumeration against the Rosenthal-type bound and
+    the Schechtman extremal value."""
+
+    exact: float
+    rosenthal: float
+    schechtman: float
+
+    def violated(self) -> tuple[tuple[str, float], ...]:
+        """(name, bound) of each inequality that exact breaks by more than
+        REL_SLACK."""
+        return tuple((name, bound) for name, bound in (
+            ("rosenthal", self.rosenthal), ("schechtman", self.schechtman))
+            if self.exact > bound * (1.0 + REL_SLACK))
+
+    @property
+    def passed(self) -> bool:
+        return not self.violated()
+
+
+def check_family(dists: list[DiscreteDist], p: float) -> FamilyCheck:
+    """Both moment inequalities for one family of independent summands."""
+    a = math.fsum(d.mean() for d in dists)
+    b = math.fsum(d.moment(p) for d in dists)
+    return FamilyCheck(exact=exact_sum_moment(dists, p).value,
+                       rosenthal=rosenthal_bound(p, b, a),
+                       schechtman=schechtman_extremal(ExtremalProblem(a=a, b=b, p=p)))
 
 
 @dataclass(frozen=True)
@@ -196,31 +234,21 @@ class VerificationReport:
         return not self.violations
 
 
-def verify_inequalities(trials: int, seed: int, p_set=(2.0, 3.0, 4.0),
-                        n_max: int = 12,
-                        rel_slack: float = 1e-9) -> VerificationReport:
+def verify_inequalities(trials: int, seed: int) -> VerificationReport:
     """Check the Rosenthal-type bound and the Schechtman extremal value on
-    random enumerable instances; reports violations beyond rel_slack."""
-    if n_max > 12:
-        raise DomainError(f"n_max capped at 12, got {n_max}")
+    random enumerable families, at p drawn from FAMILY_P."""
     rng = np.random.Generator(np.random.Philox(seed))
     violations: list[Violation] = []
     max_r = 0.0
     max_s = 0.0
     for trial in range(trials):
-        dists = random_family(rng, n_max)
-        p = float(p_set[int(rng.integers(0, len(p_set)))])
-        exact = exact_sum_moment(dists, p).value
-        a = math.fsum(d.mean() for d in dists)
-        b = math.fsum(d.moment(p) for d in dists)
-        r_bound = rosenthal_bound(p, b, a)
-        s_bound = schechtman_extremal(ExtremalProblem(a=a, b=b, p=p))
-        if exact > r_bound * (1.0 + rel_slack):
-            violations.append(Violation(trial, "rosenthal", exact, r_bound))
-        if exact > s_bound * (1.0 + rel_slack):
-            violations.append(Violation(trial, "schechtman", exact, s_bound))
-        max_r = max(max_r, exact / r_bound)
-        max_s = max(max_s, exact / s_bound)
+        dists = random_family(rng)
+        p = FAMILY_P[int(rng.integers(0, len(FAMILY_P)))]
+        c = check_family(dists, p)
+        violations += [Violation(trial, name, c.exact, bound)
+                       for name, bound in c.violated()]
+        max_r = max(max_r, c.exact / c.rosenthal)
+        max_s = max(max_s, c.exact / c.schechtman)
     return VerificationReport(trials=trials, violations=tuple(violations),
                               max_rosenthal_ratio=max_r,
                               max_schechtman_ratio=max_s)

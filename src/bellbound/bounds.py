@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DomainError, OptimizerFailure
+from .errors import BellboundError, DomainError
 from .series import (
     BellQuery,
     Regime,
     bell_dobinski,
+    _poisson_deviance,
     lambert_w,
     log_mgf_bound,
-    log_stirling_zeta,
     log_term,
     p_max_limit,
     peak_index,
@@ -29,35 +29,6 @@ from .series import (
 K_PLUS = math.exp((math.e**2 - 3.0) / 2.0)
 K_MINUS_FORMULA = (2.0 * math.pi) ** -0.5 * math.exp(-1.0 / (2.0 * math.e) + 1.0 / 3.0)
 K_MINUS_PAPER = 0.6538
-
-
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 400) -> tuple[float, float]:
-    """Derivative-free minimum of a unimodal f on [lo, hi].
-
-    Returns (x_star, f(x_star)).  The interval shrinks by the inverse golden
-    ratio each step; tol is an absolute width on x.
-    """
-    if not (hi > lo):
-        raise OptimizerFailure(f"degenerate bracket [{lo}, {hi}]")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
@@ -127,29 +98,39 @@ def lower_h0_search(q: BellQuery) -> H0Result:
     return H0Result(log_bound_on_b=log_term(k, q.p, q.beta), k_star=k, p=q.p)
 
 
-def lower_h_continuous(q: BellQuery, opt_tol: float = 1e-12) -> tuple[float, float]:
+def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     """Stirling-smoothed single-term lower bound on B^{1/p}:
     sup over real x >= 1 of [e^{-b} x^p b^x / zeta(x)]^{1/p}.
 
     zeta(x) >= x! makes each smoothed term at integer x no larger than the
-    true term, so the sup stays below B^{1/p}.  Returns (bound, x_star).
+    true term.  Between integers nothing bounds it: at small beta (seen
+    below ~1e-6), where the terms fall steeply, the sup can lie above
+    B^{1/p}.  Returns (bound, x_star).
+
+    The log-objective p ln x - D(x) - ln(2 pi x)/2 - 1/(12x), D the Poisson
+    deviance, is strictly concave on [1, inf) with a decreasing convex
+    derivative, so Newton's method on its stationary equation, started at
+    the largest integer term and clamped to x >= 1, converges (monotonically
+    after the first step).  Evaluating it through D avoids the cancellation
+    of x ln beta against x ln x, both of size ~beta ln beta.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
-
-    def neg_log_term(x: float) -> float:
-        return -(p * math.log(x) + x * math.log(beta) - log_stirling_zeta(x) - beta)
-
-    # Objective is strictly concave on [1, inf); grow the bracket until the
-    # right end is past the peak.
-    hi = 4.0
-    while -neg_log_term(hi) > -neg_log_term(hi / 2.0):
-        hi *= 2.0
-        if hi > 1e9:
-            raise OptimizerFailure("could not bracket the smoothed-term peak")
-    x_star, neg = golden_section_min(neg_log_term, 1.0, hi, tol=opt_tol)
-    return math.exp(-neg / p), x_star
+    log_beta = math.log(beta)
+    x = 1.0
+    if p + log_beta - 5.0 / 12.0 > 0.0:  # the slope at x = 1
+        x = float(peak_index(p, beta))
+        for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
+            slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
+            curv = -(p - 0.5) / (x * x) - 1.0 / x - 1.0 / (6.0 * x**3)
+            x_new = max(1.0, x - slope / curv)
+            if abs(x_new - x) <= 1e-15 * x:
+                break
+            x = x_new
+    log_term_x = (p * math.log(x) - _poisson_deviance(x, beta)[0]
+                  - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x))
+    return math.exp(log_term_x / p), x
 
 
 def k0_selector(q: BellQuery) -> int:
@@ -305,8 +286,7 @@ class BoundReport:
         }
 
 
-def bound_report(q: BellQuery, opt_tol: float = 1e-12,
-                 series_tol: float = 1e-12) -> BoundReport:
+def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     """Evaluate the regime's bound pair for q and cross-check against the
     series when p <= p_max.
 
@@ -325,7 +305,7 @@ def bound_report(q: BellQuery, opt_tol: float = 1e-12,
     if q.p <= p_max_limit():
         try:
             series_root = bell_dobinski(q, tol=series_tol).root(q.p)
-        except Exception as exc:  # pragma: no cover - budget edge
+        except BellboundError as exc:
             errors.append(f"series: {exc}")
 
     # Lower candidates.
@@ -334,18 +314,18 @@ def bound_report(q: BellQuery, opt_tol: float = 1e-12,
         h0 = lower_h0_search(q)
         lower_cands.append((h0.root_bound, "H0Search"))
         witness["k_star"] = h0.k_star
-    except Exception as exc:
+    except BellboundError as exc:
         errors.append(f"H0Search: {exc}")
     try:
-        hval, x_star = lower_h_continuous(q, opt_tol)
+        hval, x_star = lower_h_continuous(q)
         lower_cands.append((hval, "HContinuous"))
         witness["x_star"] = x_star
-    except Exception as exc:
+    except BellboundError as exc:
         errors.append(f"HContinuous: {exc}")
     if regime is Regime.LARGE_P:
         try:
             lower_cands.append((lower_closed_form_largep(q), "ClosedFormLargeP"))
-        except Exception as exc:
+        except BellboundError as exc:
             errors.append(f"ClosedFormLargeP: {exc}")
 
     # Upper candidates.
@@ -356,20 +336,20 @@ def bound_report(q: BellQuery, opt_tol: float = 1e-12,
             g, lam = upper_g_optimized(q)
             upper_cands.append((g, "GOptimized"))
             witness["lambda_star"] = lam
-        except Exception as exc:
+        except BellboundError as exc:
             errors.append(f"GOptimized: {exc}")
         try:
             upper_cands.append((upper_closed_form_largep(q), "ClosedFormLargeP"))
-        except Exception as exc:
+        except BellboundError as exc:
             errors.append(f"ClosedFormLargeP(upper): {exc}")
     else:
         try:
             upper_cands.append((regime_upper_largebeta(q), "KPlusLargeBeta"))
-        except Exception as exc:
+        except BellboundError as exc:
             errors.append(f"KPlusLargeBeta: {exc}")
         try:
             kminus = regime_lower_largebeta(q, series_root=series_root)
-        except Exception as exc:
+        except BellboundError as exc:
             errors.append(f"KMinusLargeBeta: {exc}")
 
     lower, lower_method = max(lower_cands, default=(math.nan, "none"))

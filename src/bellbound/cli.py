@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import applications, asymptotics, bounds, verify
-from .errors import BudgetError, DomainError
+from .errors import BellboundError, BudgetError, DomainError
 from .series import BellQuery, bell_dobinski
 
 EXIT_OK = 0
@@ -144,7 +144,7 @@ def _scan_row(p: float, beta: float, tol: float) -> dict:
             row["ratio_series_over_lower"] = report.series_root / report.lower
         if beta == 1.0 and p > math.e:
             row["debruijn_total"] = asymptotics.debruijn_expansion(p).total
-    except Exception as exc:
+    except BellboundError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -181,36 +181,19 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-def _check_instance_file(path: str) -> list:
-    """Rosenthal/Schechtman checks for a user-supplied family, one
-    distribution per line (`v1:p1,v2:p2,...`)."""
-    dists = applications.load_instances(path)
-    results = []
-    for p in (2.0, 3.0, 4.0):
-        exact = applications.exact_sum_moment(dists, p).value
-        a = math.fsum(d.mean() for d in dists)
-        b = math.fsum(d.moment(p) for d in dists)
-        r_bound = applications.rosenthal_bound(p, b, a)
-        s_bound = applications.schechtman_extremal(
-            applications.ExtremalProblem(a=a, b=b, p=p))
-        ok = exact <= r_bound * (1 + 1e-9) and exact <= s_bound * (1 + 1e-9)
-        results.append(verify.CheckResult(
-            f"instances-p{p:g}", ok,
-            f"exact {fmt(exact)}, rosenthal {fmt(r_bound)}, "
-            f"schechtman {fmt(s_bound)}"))
-    return results
-
-
 def cmd_verify(args) -> int:
     if args.instances:
-        results = _check_instance_file(args.instances)
-        text = "\n".join(r.line() for r in results)
-        n_fail = sum(not r.passed for r in results)
-        text += f"\n{len(results) - n_fail}/{len(results)} checks passed\n"
-        _emit(text, args.out)
-        return EXIT_OK if n_fail == 0 else EXIT_VERIFY
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    results = verify.run_suites(names, trials=args.trials, seed=args.seed)
+        dists = applications.load_instances(args.instances)
+        results = []
+        for p in applications.FAMILY_P:
+            c = applications.check_family(dists, p)
+            results.append(verify.CheckResult(
+                f"instances-p{p:g}", c.passed,
+                f"exact {fmt(c.exact)}, rosenthal {fmt(c.rosenthal)}, "
+                f"schechtman {fmt(c.schechtman)}"))
+    else:
+        names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+        results = verify.run_suites(names, trials=args.trials, seed=args.seed)
     text = "\n".join(r.line() for r in results)
     n_fail = sum(not r.passed for r in results)
     text += f"\n{len(results) - n_fail}/{len(results)} checks passed\n"

@@ -12,7 +12,3 @@ class DomainError(BellboundError, ValueError):
 class BudgetError(BellboundError, RuntimeError):
     """A numerical budget was exhausted: tolerance not reached, exact
     arithmetic cap exceeded, or an enumeration too large."""
-
-
-class OptimizerFailure(BellboundError, RuntimeError):
-    """A scalar search could not bracket or refine an interior optimum."""

@@ -100,32 +100,40 @@ _LOG_FACTORIAL = tuple(math.log(math.factorial(k))
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _poisson_deviance(x: float, beta: float) -> tuple[float, float]:
+    """The Poisson deviance D = x log(x/beta) + beta - x >= 0, and the
+    magnitude of the operands that enter it (for rounding bounds).
+
+    Near x = beta, D is summed as a series in v = (x - beta)/(x + beta),
+    D = (x - beta) v + 2x (v^3/3 + v^5/5 + ...), so no x-sized operands
+    cancel; away from it the closed form loses at most a few digits of a
+    quantity of size x.
+    """
+    d = x - beta
+    if abs(d) < 0.1 * (x + beta):
+        v = d / (x + beta)
+        v2 = v * v
+        dev = d * v + 2.0 * x * v * v2 * (1.0 / 3 + v2 * (1.0 / 5 + v2 * (
+            1.0 / 7 + v2 * (1.0 / 9 + v2 * (1.0 / 11 + v2 * (
+                1.0 / 13 + v2 / 15))))))
+        return dev, dev
+    ratio = x / beta  # overflows only for subnormal beta
+    lr = x * (math.log(ratio) if ratio < math.inf
+              else math.log(x) - math.log(beta))
+    return lr + beta - x, abs(lr) + beta + x
+
+
 def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
     """log of the Poisson(beta) mass at k, k log beta - beta - log k!, and
     the magnitude of the operands that enter it (for the rounding bound).
 
-    Beyond the exact table this is -(D + log(2 pi k)/2 + R), with R the
-    Stirling remainder of log k! and D = k log(k/beta) + beta - k >= 0.
-    Near k = beta, D is summed as a series in v = (k - beta)/(k + beta),
-    D = (k - beta) v + 2k (v^3/3 + v^5/5 + ...), so no k-sized operands
-    cancel; away from it the closed form loses at most a few digits of a
-    quantity of size k.
+    Beyond the exact table this is -(D + log(2 pi k)/2 + R), with D the
+    Poisson deviance and R the Stirling remainder of log k!.
     """
     if k <= _LOG_FACTORIAL_MAX:
         lf = _LOG_FACTORIAL[k]
         return k * log_beta - lf - beta, k * abs(log_beta) + lf + beta
-    d = k - beta
-    if abs(d) < 0.1 * (k + beta):
-        v = d / (k + beta)
-        v2 = v * v
-        dev = d * v + 2.0 * k * v * v2 * (1.0 / 3 + v2 * (1.0 / 5 + v2 * (
-            1.0 / 7 + v2 * (1.0 / 9 + v2 * (1.0 / 11 + v2 * (
-                1.0 / 13 + v2 / 15))))))
-        mag = dev
-    else:
-        lr = k * math.log(k / beta)
-        dev = lr + beta - k
-        mag = abs(lr) + beta + k
+    dev, mag = _poisson_deviance(k, beta)
     x = float(k)
     r = 1.0 / (x * x)
     rem = (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680
@@ -343,10 +351,12 @@ def bell_touchard_exact(p: int, beta):
 
 
 def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 60) -> float:
-    """Principal-branch W(x) for x >= 0: the solution of w * e^w = x.
+    """Principal-branch W(x) for finite x >= 0: the solution of w * e^w = x.
 
     Halley iteration with a residual-based stop; seeds: log1p(x) for x >= 1
-    and the series start x*(1 - x) near 0.
+    and the series start x*(1 - x) near 0.  The residual w e^w - x is
+    carried divided by e^w, as w - x e^{-w}, so no step overflows even at
+    x = DBL_MAX.
     """
     if not (x >= 0 and math.isfinite(x)):
         raise DomainError(f"lambert_w requires finite x >= 0, got {x!r}")
@@ -354,12 +364,12 @@ def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 60) -> float:
         return 0.0
     w = math.log1p(x) if x >= 1.0 else x * (1.0 - x)
     for _ in range(max_iter):
-        ew = math.exp(w)
-        resid = w * ew - x
-        if abs(resid) <= tol * max(1.0, x):
+        emw = math.exp(-w)
+        resid = w - x * emw
+        if abs(resid) <= tol * max(emw, x * emw):
             return w
         wp1 = w + 1.0
-        w -= resid / (ew * wp1 - (w + 2.0) * resid / (2.0 * wp1))
+        w -= resid / (wp1 - (w + 2.0) * resid / (2.0 * wp1))
     raise BudgetError(f"lambert_w failed to converge for x={x}")
 
 

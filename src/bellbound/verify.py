@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import applications, asymptotics, bounds
+from .applications import REL_SLACK
 from .series import BellQuery, bell_dobinski, bell_touchard_exact
-
-REL_SLACK = 1e-9
 
 # The acceptance grid: 40 log-spaced p in [2, 200] x 12 log-spaced beta
 # in [0.1, 50], each bound restricted to its regime.

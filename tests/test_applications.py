@@ -8,6 +8,8 @@ from bellbound import BudgetError, DomainError
 from bellbound.applications import (
     DiscreteDist,
     ExtremalProblem,
+    FamilyCheck,
+    check_family,
     exact_sum_moment,
     load_instances,
     mc_sum_moment,
@@ -27,6 +29,11 @@ class TestDiscreteDist:
         with pytest.raises(DomainError):
             DiscreteDist(((-1.0, 1.0),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, value):
+        with pytest.raises(DomainError):
+            DiscreteDist(((value, 1.0),))
+
     def test_moments(self):
         assert COIN.mean() == 0.5
         assert COIN.moment(3) == 0.5
@@ -43,14 +50,14 @@ class TestRosenthal:
         # eta == 1, p = 3: bound 5 >= E eta^3 = 1
         assert rosenthal_bound(3, 1, 1) == pytest.approx(5.0, rel=1e-11)
 
-    def test_beta_override(self):
-        # with beta = 2 the constant becomes B(2, 2) = 6
-        assert rosenthal_bound(2, 1, 1, beta_override=2.0) == pytest.approx(
-            6.0, rel=1e-11)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             rosenthal_bound(1.5, 1, 1)
+
+    def test_past_double_range(self):
+        # B(300) ~ e^1291
+        with pytest.raises(DomainError, match="double range"):
+            rosenthal_bound(300, 1, 1)
 
 
 class TestSchechtman:
@@ -75,6 +82,11 @@ class TestSchechtman:
         assert prob.mu == pytest.approx(1e6, rel=1e-12)
         assert schechtman_extremal(prob) == pytest.approx(
             1e9 + 3e3 + 1e-3, rel=1e-10)
+
+    def test_past_double_range(self):
+        # mu = 1, so the value is B(300) ~ e^1291
+        with pytest.raises(DomainError, match="double range"):
+            schechtman_extremal(ExtremalProblem(1, 1, 300))
 
     @given(a=st.floats(0.1, 10), b=st.floats(0.1, 10))
     @settings(max_examples=100, deadline=None)
@@ -135,6 +147,33 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(DomainError):
             mc_sum_moment([COIN], 2, samples=100, seed=1)
+
+
+class TestCheckFamily:
+    def test_matches_enumeration(self):
+        dists = [COIN, DiscreteDist(((0.5, 0.25), (3.0, 0.75))), COIN]
+        for p in (2.0, 3.0, 4.0):
+            c = check_family(dists, p)
+            a = sum(d.mean() for d in dists)
+            b = sum(d.moment(p) for d in dists)
+            assert c.exact == exact_sum_moment(dists, p).value
+            assert c.rosenthal == pytest.approx(rosenthal_bound(p, b, a), rel=1e-15)
+            assert c.schechtman == pytest.approx(
+                schechtman_extremal(ExtremalProblem(a, b, p)), rel=1e-15)
+            assert c.passed and not c.violated()
+
+    def test_p2_values(self):
+        # exact E(X1 + X2)^2 of two fair coins is 1.5; B(2) = 2 and
+        # a^2 + b = 1 + 1
+        c = check_family([COIN, COIN], 2.0)
+        assert c.exact == pytest.approx(1.5, rel=1e-15)
+        assert c.rosenthal == pytest.approx(2.0, rel=1e-11)
+        assert c.schechtman == pytest.approx(2.0, rel=1e-10)
+
+    def test_violation_is_reported(self):
+        c = FamilyCheck(exact=2.0, rosenthal=3.0, schechtman=1.5)
+        assert not c.passed
+        assert c.violated() == (("schechtman", 1.5),)
 
 
 class TestVerifyInequalities:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ class TestLambertW:
         for x in xs:
             w = lambert_w(x)
             assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, x)
+
+    @pytest.mark.parametrize("x", [1e305, 1e307, sys.float_info.max])
+    def test_near_the_double_limit(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        w = lambert_w(x)
+        with mpmath.workdps(30):
+            mw = mpmath.mpf(w)
+            assert float(abs(mw * mpmath.exp(mw) / x - 1)) <= 1e-13
+            assert float(abs(mw / mpmath.lambertw(x) - 1)) <= 1e-15
 
     def test_against_scipy(self):
         for x in np.logspace(-3, 5, 30):

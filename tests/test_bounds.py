@@ -10,7 +10,6 @@ from bellbound.bounds import (
     K_PLUS,
     bound_report,
     fitted_rough_constant,
-    golden_section_min,
     k0_selector,
     lower_closed_form_largep,
     lower_h0_search,
@@ -26,15 +25,6 @@ from bellbound.series import Regime, log_term, peak_index
 
 def series_root(p, beta):
     return bell_dobinski(BellQuery(p, beta)).root(p)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        # x-accuracy is limited to ~sqrt(eps) once f differences drown in
-        # rounding noise; the minimum value itself is found to full precision
-        x, fx = golden_section_min(lambda x: (x - 1.7) ** 2 + 3, 0, 5)
-        assert x == pytest.approx(1.7, abs=1e-6)
-        assert fx == pytest.approx(3.0, abs=1e-12)
 
 
 class TestUpperGOptimized:
@@ -55,6 +45,14 @@ class TestUpperGOptimized:
         g, _ = upper_g_optimized(BellQuery(2, 1))
         assert g >= math.sqrt(2)
         assert g >= series_root(2, 1)
+
+    def test_ratio_past_1e305(self):
+        # lambda* = W(p/beta) ~ 698 once p/beta = 1e306; the bound is
+        # finite and still above the series
+        q = BellQuery(10, 1e-305)
+        g, lam = upper_g_optimized(q)
+        assert lam == pytest.approx(698.0, abs=1.0)
+        assert math.isfinite(g) and g >= series_root(10, 1e-305)
 
     @pytest.mark.parametrize("p,beta", [(22, 39977.67), (2.37, 13237.85)])
     def test_large_beta(self, p, beta):
@@ -147,6 +145,31 @@ class TestLowerHContinuous:
             val, x_star = lower_h_continuous(BellQuery(p, beta))
             k = max(1, round(x_star))
             assert p * math.log(val) <= log_term(k, p, beta) + 0.5
+
+    @pytest.mark.parametrize("p,beta", [
+        (1, 0.1), (0.5, 1.5), (1, 1e2), (2, 1e2), (37.5, 1e2), (500, 1e2),
+        (1, 1e4), (3, 1e4), (120, 1e4), (499, 1e4), (1.3197, 63513.9),
+        (1, 1e5), (2.5, 1e5), (50, 1e5), (500, 1e5), (10, 1), (200, 0.3),
+        (2, 10), (7.7, 7.7), (60, 7), (2, 1e-310),
+    ])
+    def test_matches_the_sup_to_50_digits(self, p, beta):
+        mpmath = pytest.importorskip("mpmath")
+        val, x_star = lower_h_continuous(BellQuery(p, beta))
+        with mpmath.workdps(50):
+            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
+
+            def objective(x):  # log of e^-b x^p b^x / zeta(x)
+                return (mp * mpmath.log(x) + x * mpmath.log(mb) - mb
+                        - mpmath.log(2 * mpmath.pi * x) / 2
+                        - x * (mpmath.log(x) - 1) - 1 / (12 * x))
+
+            x_sup = mpmath.mpf(1)
+            if mpmath.diff(objective, x_sup) > 0:
+                x_sup = mpmath.findroot(lambda x: mpmath.diff(objective, x),
+                                        mpmath.mpf(x_star))
+            sup = mpmath.exp(objective(x_sup) / mp)
+            assert float(abs(val / sup - 1)) <= 1e-13
+            assert x_star == pytest.approx(float(x_sup), rel=1e-9)
 
 
 class TestK0AndClosedFormLower:

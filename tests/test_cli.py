@@ -164,6 +164,14 @@ class TestExtremal:
     def test_p1_exit_2(self, capsys):
         assert main(["extremal", "--a", "1", "--b", "1", "--p", "1"]) == 2
 
+    def test_past_double_range_exit_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellbound.cli", "extremal", "--a", "1",
+             "--b", "1", "--p", "300"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "domain error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerifyCommand:
     def test_oracles_pass(self, capsys):
@@ -185,6 +193,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "[PASS] instances-p2" in out
         assert "[PASS] instances-p4" in out
+
+    def test_instance_file_non_finite_value_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "family.txt"
+        path.write_text("0:0.5,1:0.5\nnan:1\n")
+        assert main(["verify", "--instances", str(path)]) == 2
+        assert "domain error" in capsys.readouterr().err
 
 
 class TestEntryPoint:
