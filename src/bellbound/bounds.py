@@ -44,13 +44,6 @@ def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
     return math.exp(log_mgf_bound(q, lam)), lam
 
 
-def _lambda0(q: BellQuery) -> float:
-    r = q.ratio
-    if r <= 1.0:
-        raise DomainError(f"ln ln(p/beta) undefined for p/beta = {r} <= 1")
-    return math.log(r) - math.log(math.log(r))
-
-
 def upper_closed_form_largep(q: BellQuery) -> float:
     """Closed-form upper bound on B^{1/p} for p >= 2*beta:
     [p/e / (ln(p/b) - lnln(p/b))] * exp{1/ln(p/b) - 1/(p/b)}.
@@ -61,11 +54,9 @@ def upper_closed_form_largep(q: BellQuery) -> float:
         raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio < 2.0:
         raise DomainError(f"regime p >= 2*beta violated: p/beta = {q.ratio}")
-    lam0 = _lambda0(q)
-    if lam0 <= 0:
-        raise DomainError(f"lambda0 = {lam0} <= 0")
-    r = q.ratio
-    return (q.p / math.e) / lam0 * math.exp(1.0 / math.log(r) - 1.0 / r)
+    log_r = math.log(q.p) - math.log(q.beta)  # finite where p/beta overflows
+    lam0 = log_r - math.log(log_r)  # >= 1, as log_r >= ln 2
+    return (q.p / math.e) / lam0 * math.exp(1.0 / log_r - q.beta / q.p)
 
 
 @dataclass(frozen=True)

@@ -158,13 +158,14 @@ def log_term(k: int, p: float, beta: float) -> float:
     return p * math.log(k) + _log_poisson(k, beta, math.log(beta))[0]
 
 
-def _log_term_ratio(k: int, p: float, beta: float) -> float:
-    """log(t_{k+1}/t_k) = p*log(1 + 1/k) + log(beta/(k + 1)), for k >= 1.
+def _log_term_ratio(k: int, p: float, log_beta: float) -> float:
+    """log(t_{k+1}/t_k) = p*log(1 + 1/k) + log(beta) - log(k + 1), for k >= 1.
 
     Strictly decreasing in k, which makes the terms unimodal and the
-    geometric tail bounds on both sides of the peak rigorous.
+    geometric tail bounds on both sides of the peak rigorous.  log(beta)
+    is taken apart because beta/(k + 1) underflows for subnormal beta.
     """
-    return p * math.log1p(1.0 / k) + math.log(beta / (k + 1))
+    return p * math.log1p(1.0 / k) + log_beta - math.log(k + 1.0)
 
 
 def peak_index(p: float, beta: float) -> int:
@@ -176,12 +177,13 @@ def peak_index(p: float, beta: float) -> int:
     ratio within rounding of 0 can put the bisection one index off.
     O(log(beta + p)) evaluations.
     """
+    log_beta = math.log(beta)
     lo, hi = 1, math.ceil(beta + p) + 1
-    if _log_term_ratio(lo, p, beta) <= 0.0:
+    if _log_term_ratio(lo, p, log_beta) <= 0.0:
         hi = lo
     while hi - lo > 1:  # ratio(lo) > 0 >= ratio(hi)
         mid = (lo + hi) // 2
-        if _log_term_ratio(mid, p, beta) > 0.0:
+        if _log_term_ratio(mid, p, log_beta) > 0.0:
             lo = mid
         else:
             hi = mid

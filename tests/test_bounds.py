@@ -286,6 +286,14 @@ class TestBoundReport:
         with pytest.raises(DomainError):
             bound_report(BellQuery(0.5, 1))
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 50.0, 500.0])
+    def test_smallest_beta(self, p):
+        # p/beta overflows and beta/(k + 1) underflows at beta = 5e-324
+        rep = bound_report(BellQuery(p, 5e-324))
+        assert math.isfinite(rep.upper)
+        assert rep.lower <= rep.series_root * (1 + 1e-12) <= rep.upper
+        assert all(e.startswith("GOptimized:") for e in rep.errors)
+
 
 class TestRatioConvergence:
     def test_doubling_grid_trend(self):

@@ -90,6 +90,14 @@ class TestBounds:
             ["bounds", "--p", "2", "--beta", "1", "--format", "json"], capsys)
         assert json.loads(out)["regime"] == "LargeP"
 
+    def test_smallest_beta(self, capsys):
+        code, out = run_main(
+            ["bounds", "--p", "2", "--beta", "5e-324", "--format", "json"],
+            capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lower"] <= payload["series_check"] <= payload["upper"]
+
 
 class TestScan:
     ARGS = ["scan", "--p-start", "2", "--p-stop", "100", "--p-count", "3",
@@ -135,6 +143,18 @@ class TestScan:
         code = main(["scan", "--p-start", "0", "--p-stop", "10", "--p-count",
                      "3", "--p-log", "--beta-start", "1", "--beta-stop", "1"])
         assert code == 2
+
+    def test_smallest_beta_rows(self, capsys):
+        code, out = run_main(
+            ["scan", "--p-start", "2", "--p-stop", "3", "--p-count", "2",
+             "--beta-start", "5e-324", "--beta-stop", "1", "--beta-count", "2",
+             "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 4
+        assert all(row["error"] is None for row in rows)
+        assert all(row["lower"] <= row["series_b_1p"] <= row["upper"]
+                   for row in rows)
 
     def test_row_error_recorded(self, capsys):
         # p = 0.5 is below the bound-report domain: row carries an error

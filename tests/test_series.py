@@ -122,6 +122,17 @@ class TestPeakIndex:
         assert peak_index(1.0, 2.0) == 2
         assert bell_dobinski(BellQuery(1.0, 2.0)).peak_index == 2
 
+    @pytest.mark.parametrize("p", [0.0, 2.0, 800.0, 2000.0])
+    @pytest.mark.parametrize("beta", [5e-324, 1e-320])
+    def test_subnormal_beta(self, p, beta):
+        # beta / (k + 1) underflows to 0 here; the ratio takes log(beta) apart
+        assert peak_index(p, beta) == self.linear_scan(p, beta)
+
+    def test_series_at_smallest_beta(self):
+        # B(2, beta) = beta^2 + beta
+        res = bell_dobinski(BellQuery(2.0, 5e-324))
+        assert res.log_value == pytest.approx(math.log(5e-324), rel=1e-15)
+
     def test_reported_by_series(self):
         for p, beta in [(10, 1), (3, 1e4), (250, 40)]:
             assert bell_dobinski(BellQuery(p, beta)).peak_index == peak_index(
