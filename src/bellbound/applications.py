@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError, DomainError
 from .series import BellQuery, bell_dobinski
 
@@ -39,19 +37,12 @@ class DiscreteDist:
             if not (0.0 < pr <= 1.0):
                 raise DomainError(f"atom probability {pr} outside (0, 1]")
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.atoms])
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([pr for _, pr in self.atoms])
-
     def mean(self) -> float:
-        return math.fsum(v * pr for v, pr in self.atoms)
+        return _fsum_in_range((v * pr for v, pr in self.atoms), "mean")
 
     def moment(self, p: float) -> float:
-        return math.fsum(v**p * pr for v, pr in self.atoms)
+        return _fsum_in_range((v**p * pr for v, pr in self.atoms),
+                              f"moment of order {p:g}")
 
     def scaled(self, c: float) -> "DiscreteDist":
         return DiscreteDist(tuple((c * v, pr) for v, pr in self.atoms))
@@ -89,6 +80,21 @@ class SumMomentResult:
     stderr: float | None = None
 
 
+def _fsum_in_range(terms, what: str) -> float:
+    """math.fsum of the terms; DomainError if a term or the sum exceeds the
+    double range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"{what} exceeds the double range") from None
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} exceeds the double range")
+    return value
+
+
 def _exp_in_range(log_value: float, what: str) -> float:
     try:
         return math.exp(log_value)
@@ -124,6 +130,8 @@ def schechtman_extremal(prob: ExtremalProblem) -> float:
 def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
     """Enumerate all outcome tuples of the independent summands and
     accumulate prob * (sum of values)^p exactly (to float precision)."""
+    import numpy as np
+
     if p <= 0:
         raise DomainError(f"p must be > 0, got {p}")
     states = 1
@@ -136,11 +144,14 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
             raise BudgetError(f"enumeration exceeds {ENUM_BUDGET} states")
     sums = np.zeros(1)
     probs = np.ones(1)
-    for d in dists:
-        sums = (sums[:, None] + d.values[None, :]).ravel()
-        probs = (probs[:, None] * d.probs[None, :]).ravel()
-    value = float(np.dot(probs, sums**p))
-    return SumMomentResult(value=value, method="Enumeration", n=len(dists))
+    with np.errstate(over="ignore"):
+        for d in dists:
+            values, weights = zip(*d.atoms)
+            sums = np.add.outer(sums, values).ravel()
+            probs = np.multiply.outer(probs, weights).ravel()
+        value = float(np.dot(probs, sums**p))
+    return SumMomentResult(value=_finite(value, "E(sum eta_j)^p"),
+                           method="Enumeration", n=len(dists))
 
 
 def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
@@ -149,26 +160,35 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
 
     Uses the counter-based Philox generator so results are reproducible
     and safely parallelizable by seed."""
+    import numpy as np
+
     if samples < 10_000:
         raise DomainError(f"samples must be >= 10^4, got {samples}")
     if p <= 0:
         raise DomainError(f"p must be > 0, got {p}")
     rng = np.random.Generator(np.random.Philox(seed))
     totals = np.zeros(samples)
-    for d in dists:
-        totals += rng.choice(d.values, size=samples, p=d.probs)
-    powered = totals**p
-    value = float(powered.mean())
-    stderr = float(powered.std(ddof=1) / math.sqrt(samples))
+    with np.errstate(over="ignore"):
+        for d in dists:
+            values, weights = zip(*d.atoms)
+            totals += rng.choice(values, size=samples, p=weights)
+        powered = totals**p
+        # Once the mean is finite every term is, so std meets no inf - inf
+        # and only overflow needs silencing.
+        value = _finite(float(powered.mean()), "E(sum eta_j)^p")
+        stderr = _finite(float(powered.std(ddof=1) / math.sqrt(samples)),
+                         "Monte Carlo standard error")
     return SumMomentResult(value=value, method="MonteCarlo", n=len(dists),
                            stderr=stderr)
 
 
-def random_family(rng: np.random.Generator) -> list[DiscreteDist]:
-    """Random small family for the verifier: 1-12 summands of 2-4 atoms
-    each, values log-uniform in [1e-2, 1e2], Dirichlet probabilities.  The
-    number of summands is truncated to keep the enumeration within 1e5
-    states."""
+def random_family(rng) -> list[DiscreteDist]:
+    """Random small family for the verifier, drawn from the numpy
+    Generator `rng`: 1-12 summands of 2-4 atoms each, values log-uniform
+    in [1e-2, 1e2], Dirichlet probabilities.  The number of summands is
+    truncated to keep the enumeration within 1e5 states."""
+    import numpy as np
+
     n = int(rng.integers(1, 13))
     dists: list[DiscreteDist] = []
     states = 1
@@ -207,8 +227,8 @@ class FamilyCheck:
 
 def check_family(dists: list[DiscreteDist], p: float) -> FamilyCheck:
     """Both moment inequalities for one family of independent summands."""
-    a = math.fsum(d.mean() for d in dists)
-    b = math.fsum(d.moment(p) for d in dists)
+    a = _fsum_in_range((d.mean() for d in dists), "sum of means")
+    b = _fsum_in_range((d.moment(p) for d in dists), "sum of moments")
     return FamilyCheck(exact=exact_sum_moment(dists, p).value,
                        rosenthal=rosenthal_bound(p, b, a),
                        schechtman=schechtman_extremal(ExtremalProblem(a=a, b=b, p=p)))
@@ -237,6 +257,8 @@ class VerificationReport:
 def verify_inequalities(trials: int, seed: int) -> VerificationReport:
     """Check the Rosenthal-type bound and the Schechtman extremal value on
     random enumerable families, at p drawn from FAMILY_P."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
     violations: list[Violation] = []
     max_r = 0.0
@@ -261,18 +283,29 @@ def parse_instance_line(line: str) -> DiscreteDist:
         if not chunk:
             continue
         v_str, _, p_str = chunk.partition(":")
-        atoms.append((float(v_str), float(p_str)))
+        try:
+            atoms.append((float(v_str), float(p_str)))
+        except ValueError:
+            raise DomainError(f"atom {chunk!r} is not value:prob") from None
     return DiscreteDist(tuple(atoms))
 
 
 def load_instances(path: str) -> list[DiscreteDist]:
     """Read a line-oriented instance file, one distribution per line;
     blank lines and #-comments are skipped."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot open instance file {path}: "
+                          f"{exc.strerror}") from None
     dists = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            dists.append(parse_instance_line(line))
+            try:
+                dists.append(parse_instance_line(line))
+            except DomainError as exc:
+                raise DomainError(f"{path}, line {lineno}: {exc}") from None
     return dists

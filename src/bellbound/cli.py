@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import applications, asymptotics, bounds, verify
 from .errors import BellboundError, BudgetError, DomainError
 from .series import BellQuery, bell_dobinski
@@ -65,20 +63,12 @@ class ScanSpec:
             if log and start <= 0:
                 raise DomainError(f"log {name} grid requires start > 0")
 
-    def _axis(self, start, stop, count, log):
-        if count == 1:
-            return [start]
-        if log:
-            return np.logspace(math.log10(start), math.log10(stop),
-                               count).tolist()
-        return np.linspace(start, stop, count).tolist()
-
     def p_values(self):
-        return self._axis(self.p_start, self.p_stop, self.p_count, self.p_log)
+        return verify.axis(self.p_start, self.p_stop, self.p_count, self.p_log)
 
     def beta_values(self):
-        return self._axis(self.beta_start, self.beta_stop, self.beta_count,
-                          self.beta_log)
+        return verify.axis(self.beta_start, self.beta_stop, self.beta_count,
+                           self.beta_log)
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -9,16 +9,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import applications, asymptotics, bounds
 from .applications import REL_SLACK
 from .series import BellQuery, bell_dobinski, bell_touchard_exact
 
+
+def axis(start: float, stop: float, count: int, log: bool = False) -> list[float]:
+    """`count` points from start to stop, evenly spaced or, when `log`,
+    log-spaced, without importing numpy.  The linear points are
+    `start + i*step` with the last set to `stop`, as np.linspace computes
+    them (unless `step` underflows to 0); the log points are `10.0 ** x`
+    over the linear axis of the log10 endpoints, within 1 ulp of
+    np.logspace, whose vectorised pow may round differently."""
+    if count == 1:
+        return [start]
+    if log:
+        return [10.0 ** x
+                for x in axis(math.log10(start), math.log10(stop), count)]
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
+
+
 # The acceptance grid: 40 log-spaced p in [2, 200] x 12 log-spaced beta
 # in [0.1, 50], each bound restricted to its regime.
-GRID_P = tuple(np.logspace(math.log10(2.0), math.log10(200.0), 40).tolist())
-GRID_BETA = tuple(np.logspace(math.log10(0.1), math.log10(50.0), 12).tolist())
+GRID_P = tuple(axis(2.0, 200.0, 40, log=True))
+GRID_BETA = tuple(axis(0.1, 50.0, 12, log=True))
 
 
 @dataclass(frozen=True)
@@ -159,7 +174,7 @@ def suite_asymptotics() -> list[CheckResult]:
         f"normalized residual peaks at p={peak_p:g}; values "
         + ", ".join(f"{p:g}:{v:.4f}" for p, v in norm_resid)))
 
-    xs = [0.0] + np.logspace(-6, 6, 49).tolist()
+    xs = [0.0] + axis(1e-6, 1e6, 49, log=True)
     worst = 0.0
     for x in xs:
         w = asymptotics.lambert_w(x)
@@ -173,6 +188,8 @@ def suite_asymptotics() -> list[CheckResult]:
 def suite_inequalities(trials: int = 1000, seed: int = 7) -> list[CheckResult]:
     """Rosenthal/Schechtman zero-violation property plus the p = 2 closed
     form of the extremal value."""
+    import numpy as np
+
     results = []
     report = applications.verify_inequalities(trials=trials, seed=seed)
     results.append(CheckResult(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from bellbound.applications import (
 )
 
 COIN = DiscreteDist(((0.0, 0.5), (1.0, 0.5)))
+# Finite atoms whose fourth moment, and E(X1 + X2)^4, exceed the double range.
+HUGE = DiscreteDist(((1e100, 0.5), (1.0, 0.5)))
 
 
 class TestDiscreteDist:
@@ -37,6 +40,17 @@ class TestDiscreteDist:
     def test_moments(self):
         assert COIN.mean() == 0.5
         assert COIN.moment(3) == 0.5
+
+    def test_past_double_range(self):
+        assert HUGE.moment(3) == pytest.approx(5e299, rel=1e-15)
+        with pytest.raises(DomainError, match="double range"):
+            HUGE.moment(4)
+        # probabilities may sum to 1 + 1e-12, so the mean of DBL_MAX atoms
+        # can exceed DBL_MAX
+        top = DiscreteDist(((sys.float_info.max, 0.5 + 4e-13),
+                            (sys.float_info.max, 0.5 + 4e-13)))
+        with pytest.raises(DomainError, match="double range"):
+            top.mean()
 
 
 class TestRosenthal:
@@ -125,6 +139,17 @@ class TestExactSumMoment:
         with pytest.raises(BudgetError):
             exact_sum_moment([d] * 8, 2)
 
+    def test_past_double_range(self):
+        # (2e100)^3 / 4 + (1e100)^3 / 2, the 2^3 / 4 term lost to rounding
+        assert exact_sum_moment([HUGE, HUGE], 3).value == pytest.approx(
+            2.5e300, rel=1e-12)
+        with pytest.raises(DomainError, match="double range"):
+            exact_sum_moment([HUGE, HUGE], 4)
+        # the sum itself overflows, at p = 1
+        big = DiscreteDist(((1.7e308, 1.0),))
+        with pytest.raises(DomainError, match="double range"):
+            exact_sum_moment([big, big], 1)
+
     @given(c=st.floats(0.1, 10), p=st.sampled_from([2.0, 3.0]))
     @settings(max_examples=50, deadline=None)
     def test_scaling_covariance(self, c, p):
@@ -147,6 +172,10 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(DomainError):
             mc_sum_moment([COIN], 2, samples=100, seed=1)
+
+    def test_past_double_range(self):
+        with pytest.raises(DomainError, match="double range"):
+            mc_sum_moment([HUGE, HUGE], 4, samples=10_000, seed=1)
 
 
 class TestCheckFamily:
@@ -201,6 +230,22 @@ class TestInstanceFiles:
     def test_parse_line(self):
         d = parse_instance_line("0:0.5,1:0.25,2.5:0.25")
         assert d.atoms == ((0.0, 0.5), (1.0, 0.25), (2.5, 0.25))
+
+    @pytest.mark.parametrize("line", ["x:1", "1.0", "1.0:0.5,x:0.5", "1:"])
+    def test_parse_error(self, line):
+        with pytest.raises(DomainError, match="not value:prob"):
+            parse_instance_line(line)
+
+    def test_load_names_line(self, tmp_path):
+        path = tmp_path / "instances.txt"
+        path.write_text("# comment\n0:0.5,1:0.5\n1.0\n")
+        with pytest.raises(DomainError, match="line 3"):
+            load_instances(str(path))
+
+    def test_missing_file(self, tmp_path):
+        path = str(tmp_path / "absent.txt")
+        with pytest.raises(DomainError, match="absent.txt"):
+            load_instances(path)
 
     def test_load(self, tmp_path):
         path = tmp_path / "instances.txt"

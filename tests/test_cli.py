@@ -6,10 +6,11 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from bellbound import BellQuery, bell_dobinski
-from bellbound.cli import main
+from bellbound import BellQuery, bell_dobinski, verify
+from bellbound.cli import ScanSpec, main
 
 
 def run_main(argv, capsys):
@@ -168,6 +169,89 @@ class TestScan:
         assert rows[1]["error"] is None
 
 
+class TestAxis:
+    """verify.axis, behind the scan axes and the acceptance grid, against
+    the numpy functions it stands in for."""
+
+    @staticmethod
+    def spec(start, stop, count, log):
+        return ScanSpec(p_start=start, p_stop=stop, p_count=count, p_log=log,
+                        beta_start=1.0, beta_stop=1.0, beta_count=1,
+                        beta_log=False, tol=1e-12)
+
+    def test_linear_equals_linspace(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            start = float(rng.uniform(-1e3, 1e3))
+            stop = start + float(10.0 ** rng.uniform(-8, 6))
+            count = int(rng.integers(1, 80))
+            got = self.spec(start, stop, count, log=False).p_values()
+            assert got == np.linspace(start, stop, count).tolist()
+
+    def test_log_within_one_ulp_of_logspace(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            start, stop = sorted(10.0 ** rng.uniform(-300, 300, 2))
+            count = int(rng.integers(1, 80))
+            got = self.spec(start, stop, count, log=True).p_values()
+            want = np.logspace(math.log10(start), math.log10(stop), count)
+            if count == 1:
+                want = [start]
+            assert len(got) == count
+            for g, w in zip(got, want):
+                assert abs(g - w) <= math.ulp(w)
+
+    def test_acceptance_grid_within_one_ulp(self):
+        for got, want in (
+                (verify.GRID_P, np.logspace(math.log10(2.0), math.log10(200.0), 40)),
+                (verify.GRID_BETA, np.logspace(math.log10(0.1), math.log10(50.0), 12))):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= math.ulp(w)
+
+
+class TestNumpyImport:
+    """Only `verify` loads numpy; the scalar commands start without it."""
+
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "import bellbound.cli as cli\n"
+        "steps = [['import', 0, 'numpy' in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(argv)\n"
+        "    steps.append([argv[0], code, 'numpy' in sys.modules, out.getvalue()])\n"
+        "print(json.dumps(steps))\n")
+
+    def run_fresh(self, argvs):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               json.dumps(argvs)],
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    def test_scalar_commands_leave_numpy_unloaded(self):
+        steps = self.run_fresh([
+            ["eval", "--p", "3", "--beta", "1"],
+            ["bounds", "--p", "10", "--beta", "1", "--format", "json"],
+            ["extremal", "--a", "1", "--b", "2", "--p", "2"],
+            ["scan", "--p-start", "2", "--p-stop", "100", "--p-count", "4",
+             "--p-log", "--beta-start", "1", "--beta-stop", "1"],
+        ])
+        assert [s[0] for s in steps] == ["import", "eval", "bounds",
+                                         "extremal", "scan"]
+        for name, code, numpy_loaded, *_ in steps:
+            assert code == 0, name
+            assert not numpy_loaded, name
+
+    def test_verify_instances_in_fresh_process(self, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("0:0.5,1:0.5\n0.3:0.2,2.5:0.3,7:0.5\n0:0.9,10:0.1\n")
+        [_, (_, code, _, out)] = self.run_fresh(
+            [["verify", "--instances", str(path)]])
+        assert code == 0
+        assert out.endswith("3/3 checks passed\n")
+
+
 class TestExtremal:
     def test_p2_cross_check(self, capsys):
         code, out = run_main(["extremal", "--a", "1", "--b", "2", "--p", "2"],
@@ -219,6 +303,23 @@ class TestVerifyCommand:
         path.write_text("0:0.5,1:0.5\nnan:1\n")
         assert main(["verify", "--instances", str(path)]) == 2
         assert "domain error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text", [
+        "x:1\n",
+        "0:0.5,1:0.5\n1.0\n",
+        "1e100:0.5,1.0:0.5\n1e100:0.5,1.0:0.5\n",  # 4th moments past DBL_MAX
+    ])
+    def test_instance_file_input_error_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "family.txt"
+        path.write_text(text)
+        assert main(["verify", "--instances", str(path)]) == 2
+        assert "domain error" in capsys.readouterr().err
+
+    def test_missing_instance_file_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.txt")
+        assert main(["verify", "--instances", path]) == 2
+        assert path in capsys.readouterr().err
 
 
 class TestEntryPoint:
