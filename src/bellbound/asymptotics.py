@@ -47,17 +47,16 @@ class LambertApprox:
         return math.exp(self.log_value)
 
 
-def _with_series_ratio(p: float, log_value: float,
-                       compare: bool) -> LambertApprox:
+def _with_series_ratio(p: float, log_value: float) -> LambertApprox:
     log_series = ratio = None
-    if compare and p <= p_max_limit():
+    if p <= p_max_limit():
         log_series = bell_dobinski(BellQuery(p, 1.0)).log_value
         ratio = math.exp(log_value - log_series)
     return LambertApprox(p=p, log_value=log_value, log_series=log_series,
                          ratio_to_series=ratio)
 
 
-def bell_lambert_approx(p: float, compare: bool = True) -> LambertApprox:
+def bell_lambert_approx(p: float) -> LambertApprox:
     """The literal approximation (1/sqrt(p)) * (p/W(p)) * exp(p/W(p) - p - 1).
 
     Kept as printed so its quality can be measured; see
@@ -68,10 +67,10 @@ def bell_lambert_approx(p: float, compare: bool = True) -> LambertApprox:
     w = lambert_w(p)
     pw = p / w
     log_value = -0.5 * math.log(p) + math.log(pw) + (pw - p - 1.0)
-    return _with_series_ratio(p, log_value, compare)
+    return _with_series_ratio(p, log_value)
 
 
-def bell_lambert_approx_corrected(p: float, compare: bool = True) -> LambertApprox:
+def bell_lambert_approx_corrected(p: float) -> LambertApprox:
     """Variant with the classical exponent: (1/sqrt(p)) * (p/W(p))^{p + 1/2}
     * exp(p/W(p) - p - 1)."""
     if not (p >= 2):
@@ -79,4 +78,4 @@ def bell_lambert_approx_corrected(p: float, compare: bool = True) -> LambertAppr
     w = lambert_w(p)
     pw = p / w
     log_value = -0.5 * math.log(p) + (p + 0.5) * math.log(pw) + (pw - p - 1.0)
-    return _with_series_ratio(p, log_value, compare)
+    return _with_series_ratio(p, log_value)

@@ -5,13 +5,17 @@ the regime p >= 2*beta, the K+ * beta bound for p/beta <= 2, and a rough
 triangle-inequality bound.  Lower side: the largest single Dobinski term
 (integer search), its Stirling-smoothed continuous relaxation, the
 closed-form term at k0, and the K- * beta candidate (flagged, never
-asserted).  All objectives are evaluated in log-space.
+asserted).  All objectives are evaluated in log-space.  CANDIDATES lists
+every public bound once; bound_report and the sandwich suite both read it.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import BellboundError, DomainError
 from .series import (
@@ -91,12 +95,15 @@ def lower_h0_search(q: BellQuery) -> H0Result:
 
 def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     """Stirling-smoothed single-term lower bound on B^{1/p}:
-    sup over real x >= 1 of [e^{-b} x^p b^x / zeta(x)]^{1/p}.
+    sup over real x >= 1 of [e^{-b} x^p b^x / zeta(x)]^{1/p}, capped at
+    (t_n + t_{n+1})^{1/p} with n = max(1, floor(x_star)).
 
     zeta(x) >= x! makes each smoothed term at integer x no larger than the
-    true term.  Between integers nothing bounds it: at small beta (seen
-    below ~1e-6), where the terms fall steeply, the sup can lie above
-    B^{1/p}.  Returns (bound, x_star).
+    true term.  Between integers nothing bounds it: at small beta, where
+    the terms fall steeply, the sup can lie above B^{1/p} (6% above at
+    (p, beta) = (444.65, 5.8e-135)).  The two terms of the cap belong to
+    the series, so the capped value is a proven lower bound; the cap binds
+    only below beta ~ 1.3e-3.  Returns (bound, x_star).
 
     The log-objective p ln x - D(x) - ln(2 pi x)/2 - 1/(12x), D the Poisson
     deviance, is strictly concave on [1, inf) with a decreasing convex
@@ -121,7 +128,10 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
             x = x_new
     log_term_x = (p * math.log(x) - _poisson_deviance(x, beta)[0]
                   - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x))
-    return math.exp(log_term_x / p), x
+    n = max(1, math.floor(x))
+    lo, hi = sorted((log_term(n, p, beta), log_term(n + 1, p, beta)))
+    log_cap = hi + math.log1p(math.exp(lo - hi))
+    return math.exp(min(log_term_x, log_cap) / p), x
 
 
 def k0_selector(q: BellQuery) -> int:
@@ -175,10 +185,8 @@ def regime_lower_largebeta(q: BellQuery, use_paper_constant: bool = False,
         raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio > 2.0:
         raise DomainError(f"regime p/beta <= 2 violated: p/beta = {q.ratio}")
-    if use_paper_constant:
-        const, label = K_MINUS_PAPER, "paper"
-    else:
-        const, label = K_MINUS_FORMULA, "formula"
+    const, label = ((K_MINUS_PAPER, "paper") if use_paper_constant
+                    else (K_MINUS_FORMULA, "formula"))
     value = const * q.beta
     holds: bool | None = None
     if series_root is None and q.p <= p_max_limit():
@@ -189,26 +197,24 @@ def regime_lower_largebeta(q: BellQuery, use_paper_constant: bool = False,
                        holds=holds)
 
 
-@lru_cache(maxsize=8)
-def _rough_fit_grid(p_lo: float = 2.0, p_hi: float = 200.0,
-                    n: int = 40) -> tuple[float, ...]:
-    """The log grid of p on which the rough constant is fitted, restricted
-    to lnln p > 0 (the normalization flips sign below p = e and diverges
-    at p = e)."""
-    grid = (p_lo * (p_hi / p_lo) ** (i / (n - 1)) for i in range(n))
+@cache
+def _rough_fit_grid() -> tuple[float, ...]:
+    """The grid of 40 log-spaced p in [2, 200] on which the rough constant
+    is fitted, restricted to lnln p > 0 (the normalization flips sign below
+    p = e and diverges at p = e)."""
+    grid = (2.0 * 100.0 ** (i / 39) for i in range(40))
     return tuple(p for p in grid if p > math.e)
 
 
-@lru_cache(maxsize=8)
-def fitted_rough_constant(p_lo: float = 2.0, p_hi: float = 200.0,
-                          n: int = 40) -> float:
+@cache
+def fitted_rough_constant() -> float:
     """Empirical constant for the rough triangle bound, fitted at beta = 1.
 
     Maximizes (B^{1/p} e ln p / p - 1) * ln p / lnln p over the grid of
     _rough_fit_grid.
     """
     best = 0.0
-    for p in _rough_fit_grid(p_lo, p_hi, n):
+    for p in _rough_fit_grid():
         lnp = math.log(p)
         root = bell_dobinski(BellQuery(p, 1.0)).root(p)
         need = (root * math.e * lnp / p - 1.0) * lnp / math.log(lnp)
@@ -277,83 +283,102 @@ class BoundReport:
         }
 
 
+class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
+    """One public bound on B^{1/p}: `evaluate` returns (value on the B^{1/p}
+    scale, witness), the witness reported under `witness_key`; `regimes`
+    are those in which bound_report lets it compete."""
+
+    name: str  # the method label, with a (side) suffix where two share one
+    side: str  # "lower" or "upper"
+    regimes: tuple[Regime, ...]
+    witness_key: str | None
+    evaluate: Callable[[BellQuery], tuple[float, float | None]]
+
+    @property
+    def method(self) -> str:
+        return self.name.partition("(")[0]
+
+    def on_side(self, value: float, root: float, slack: float) -> bool:
+        """True when value lies on this bound's side of root = B^{1/p},
+        within relative slack (False for NaN)."""
+        if self.side == "lower":
+            return value <= root * (1.0 + slack)
+        return value >= root * (1.0 - slack)
+
+
+_LARGE_P, _LARGE_BETA = (Regime.LARGE_P,), (Regime.LARGE_BETA,)
+
+# Every public bound, lower side first.  The adapters look each bound up in
+# the module's globals when called, so a patched module attribute is the one
+# that runs.  The k0 term competes in no regime: a single integer term, it
+# never exceeds H0Search, the largest one.  RoughTriangle is checked, not
+# reported.
+CANDIDATES = (
+    Candidate("H0Search", "lower", _LARGE_P + _LARGE_BETA, "k_star", lambda q:
+              attrgetter("root_bound", "k_star")(lower_h0_search(q))),
+    Candidate("HContinuous", "lower", _LARGE_P + _LARGE_BETA, "x_star",
+              lambda q: lower_h_continuous(q)),
+    Candidate("ClosedFormLargeP(lower)", "lower", (), None,
+              lambda q: (lower_closed_form_largep(q), None)),
+    Candidate("GOptimized", "upper", _LARGE_P, "lambda_star",
+              lambda q: upper_g_optimized(q)),
+    Candidate("ClosedFormLargeP(upper)", "upper", _LARGE_P, None,
+              lambda q: (upper_closed_form_largep(q), None)),
+    Candidate("KPlusLargeBeta", "upper", _LARGE_BETA, None,
+              lambda q: (regime_upper_largebeta(q), None)),
+    Candidate("RoughTriangle", "upper", (), None,
+              lambda q: (rough_upper_triangle(q), None)),
+)
+
+
+def _attempt(errors: list[str], label: str, thunk):
+    """thunk(), or None with "<label>: <message>" appended to errors when
+    it raises a BellboundError."""
+    try:
+        return thunk()
+    except BellboundError as exc:
+        errors.append(f"{label}: {exc}")
+        return None
+
+
 def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     """Evaluate the regime's bound pair for q and cross-check against the
     series when p <= p_max.
 
-    LargeP: upper is the tighter of the optimized MGF bound and the closed
-    form; lower is the best of the integer-term search, the continuous
-    relaxation, and the k0 term.  LargeBeta: upper is K+ * beta, lower the
-    best single-term estimate; the K- candidate rides along with its flag.
+    The best of the CANDIDATES that list the regime wins on each side, ties
+    going to the larger (value, method).  Lower: H0Search or HContinuous
+    (capped at two series terms) in both regimes; the k0 term, dominated by
+    H0Search, does not compete.  Upper: the optimized MGF bound or its
+    closed form in LargeP; K+ * beta in LargeBeta, with the K- candidate.
     """
     if q.p < 1:
         raise DomainError(f"bound_report requires p >= 1, got p={q.p}")
     regime = q.regime
     errors: list[str] = []
     witness: dict = {}
-
     series_root = None
     if q.p <= p_max_limit():
-        try:
-            series_root = bell_dobinski(q, tol=series_tol).root(q.p)
-        except BellboundError as exc:
-            errors.append(f"series: {exc}")
+        series_root = _attempt(
+            errors, "series", lambda: bell_dobinski(q, tol=series_tol).root(q.p))
 
-    # Lower candidates.
-    lower_cands: list[tuple[float, str]] = []
-    try:
-        h0 = lower_h0_search(q)
-        lower_cands.append((h0.root_bound, "H0Search"))
-        witness["k_star"] = h0.k_star
-    except BellboundError as exc:
-        errors.append(f"H0Search: {exc}")
-    try:
-        hval, x_star = lower_h_continuous(q)
-        lower_cands.append((hval, "HContinuous"))
-        witness["x_star"] = x_star
-    except BellboundError as exc:
-        errors.append(f"HContinuous: {exc}")
-    if regime is Regime.LARGE_P:
-        try:
-            lower_cands.append((lower_closed_form_largep(q), "ClosedFormLargeP"))
-        except BellboundError as exc:
-            errors.append(f"ClosedFormLargeP: {exc}")
+    cands: dict[str, list[tuple[float, str]]] = {"lower": [], "upper": []}
+    for c in CANDIDATES:
+        if regime not in c.regimes:
+            continue
+        got = _attempt(errors, c.name, lambda: c.evaluate(q))
+        if got is not None:
+            cands[c.side].append((got[0], c.method))
+            if c.witness_key:
+                witness[c.witness_key] = got[1]
 
-    # Upper candidates.
-    upper_cands: list[tuple[float, str]] = []
     kminus = None
-    if regime is Regime.LARGE_P:
-        try:
-            g, lam = upper_g_optimized(q)
-            upper_cands.append((g, "GOptimized"))
-            witness["lambda_star"] = lam
-        except BellboundError as exc:
-            errors.append(f"GOptimized: {exc}")
-        try:
-            upper_cands.append((upper_closed_form_largep(q), "ClosedFormLargeP"))
-        except BellboundError as exc:
-            errors.append(f"ClosedFormLargeP(upper): {exc}")
-    else:
-        try:
-            upper_cands.append((regime_upper_largebeta(q), "KPlusLargeBeta"))
-        except BellboundError as exc:
-            errors.append(f"KPlusLargeBeta: {exc}")
-        try:
-            kminus = regime_lower_largebeta(q, series_root=series_root)
-        except BellboundError as exc:
-            errors.append(f"KMinusLargeBeta: {exc}")
-
-    lower, lower_method = max(lower_cands, default=(math.nan, "none"))
-    upper, upper_method = min(upper_cands, default=(math.nan, "none"))
-    return BoundReport(
-        query=q,
-        regime=regime,
-        lower=lower,
-        lower_method=lower_method,
-        upper=upper,
-        upper_method=upper_method,
-        witness=witness,
-        series_root=series_root,
-        kminus=kminus,
-        errors=tuple(errors),
-    )
+    if regime is Regime.LARGE_BETA:
+        kminus = _attempt(errors, "KMinusLargeBeta", lambda: regime_lower_largebeta(
+            q, series_root=series_root))
+    lower, lower_method = max(cands["lower"], default=(math.nan, "none"))
+    upper, upper_method = min(cands["upper"], default=(math.nan, "none"))
+    return BoundReport(query=q, regime=regime, lower=lower,
+                       lower_method=lower_method, upper=upper,
+                       upper_method=upper_method, witness=witness,
+                       series_root=series_root, kminus=kminus,
+                       errors=tuple(errors))

@@ -208,13 +208,7 @@ def _geometric_tail(w: float, w_prev: float) -> float:
     return w * w / (w_prev - w)
 
 
-def bell_dobinski(
-    q: BellQuery,
-    tol: float = 1e-12,
-    *,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-    p_max: float | None = None,
-) -> EvalResult:
+def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     """Evaluate log B(p, beta) with a certified relative error.
 
     Summation starts at the largest term (peak_index) and walks outward in
@@ -234,11 +228,13 @@ def bell_dobinski(
     bounds the total error whenever rounding <= tol/2.  Otherwise (only
     when |log B| runs to several hundred or more, where log_value's own
     ulp approaches tol) truncation is pushed to tol/2 and the returned
-    certificate honestly exceeds tol.
+    certificate honestly exceeds tol.  p above p_max_limit() is refused,
+    and a sum not certified within DEFAULT_TERM_BUDGET terms raises
+    BudgetError.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    limit = p_max_limit() if p_max is None else p_max
+    limit = p_max_limit()
     if q.p > limit:
         raise DomainError(f"p={q.p} exceeds p_max={limit}")
 
@@ -276,10 +272,10 @@ def bell_dobinski(
                                   + _U * (2.0 * log_s + abs(log_peak + log_s)))
             if tails <= (tol - min(rounding, 0.5 * tol)) * s:
                 break
-        if terms >= term_budget:
+        if terms >= DEFAULT_TERM_BUDGET:
             raise BudgetError(
                 f"series for (p={p}, beta={beta}) did not certify tol={tol} "
-                f"within {term_budget} terms")
+                f"within {DEFAULT_TERM_BUDGET} terms")
         go_right = right_tail >= left_tail
         k = right + 1 if go_right else left - 1
         log_pow = p * math.log1p((k - top) / top) if p else 0.0
@@ -315,13 +311,8 @@ def stirling_second_row(p: int) -> tuple[int, ...]:
     """Row p of the Stirling-numbers-of-the-second-kind triangle, exact ints."""
     if p == 0:
         return (1,)
-    prev = stirling_second_row(p - 1)
-    row = [0] * (p + 1)
-    for j in range(1, p + 1):
-        row[j] = (prev[j - 1] if j - 1 <= p - 1 else 0) + (
-            j * prev[j] if j <= p - 1 else 0
-        )
-    return tuple(row)
+    prev = stirling_second_row(p - 1) + (0,)  # S(p - 1, p) = 0
+    return (0,) + tuple(prev[j - 1] + j * prev[j] for j in range(1, p + 1))
 
 
 TOUCHARD_P_CAP = 30
@@ -339,36 +330,30 @@ def bell_touchard_exact(p: int, beta):
         raise BudgetError(f"exact Touchard path capped at p={TOUCHARD_P_CAP}")
     row = stirling_second_row(p)
     if isinstance(beta, (int, Fraction)):
-        acc = 0
-        power = beta ** 0
-        for j, s in enumerate(row):
-            if j:
-                power = power * beta
-            acc += s * power
-        return acc
+        return sum(s * beta**j for j, s in enumerate(row))
     b = float(beta)
     if not (math.isfinite(b) and b > 0):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
     return math.fsum(s * b**j for j, s in enumerate(row))
 
 
-def lambert_w(x: float, tol: float = 1e-13, max_iter: int = 60) -> float:
+def lambert_w(x: float) -> float:
     """Principal-branch W(x) for finite x >= 0: the solution of w * e^w = x.
 
-    Halley iteration with a residual-based stop; seeds: log1p(x) for x >= 1
-    and the series start x*(1 - x) near 0.  The residual w e^w - x is
-    carried divided by e^w, as w - x e^{-w}, so no step overflows even at
-    x = DBL_MAX.
+    Halley iteration, stopped once the residual is within 1e-13 relative
+    (at most 60 steps); seeds: log1p(x) for x >= 1 and the series start
+    x*(1 - x) near 0.  The residual w e^w - x is carried divided by e^w,
+    as w - x e^{-w}, so no step overflows even at x = DBL_MAX.
     """
     if not (x >= 0 and math.isfinite(x)):
         raise DomainError(f"lambert_w requires finite x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
     w = math.log1p(x) if x >= 1.0 else x * (1.0 - x)
-    for _ in range(max_iter):
+    for _ in range(60):
         emw = math.exp(-w)
         resid = w - x * emw
-        if abs(resid) <= tol * max(emw, x * emw):
+        if abs(resid) <= 1e-13 * max(emw, x * emw):
             return w
         wp1 = w + 1.0
         w -= resid / (wp1 - (w + 2.0) * resid / (2.0 * wp1))

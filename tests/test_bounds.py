@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellbound import BellQuery, DomainError, bell_dobinski, mgf_bound_at_lambda
+from bellbound import bounds, verify
+from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
+    CANDIDATES,
     _rough_fit_grid,
     K_MINUS_FORMULA,
     K_MINUS_PAPER,
@@ -25,6 +30,11 @@ from bellbound.series import Regime, log_term, peak_index
 
 def series_root(p, beta):
     return bell_dobinski(BellQuery(p, beta)).root(p)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(
+        lambda t: min(hi, max(lo, math.exp(t))))
 
 
 class TestUpperGOptimized:
@@ -171,6 +181,17 @@ class TestLowerHContinuous:
             assert float(abs(val / sup - 1)) <= 1e-13
             assert x_star == pytest.approx(float(x_sup), rel=1e-9)
 
+    def test_capped_below_series_at_tiny_beta(self):
+        # the smoothed sup lies 6% above B^{1/p} here; the cap at
+        # (t_n + t_{n+1})^{1/p}, n = floor(x_star), keeps it below
+        p, beta = 444.65, 5.8e-135
+        val, x_star = lower_h_continuous(BellQuery(p, beta))
+        assert val <= series_root(p, beta) * (1 + REL_SLACK)
+        n = max(1, math.floor(x_star))
+        a, b = log_term(n, p, beta), log_term(n + 1, p, beta)
+        cap = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+        assert val == pytest.approx(math.exp(cap / p), rel=1e-12)
+
 
 class TestK0AndClosedFormLower:
     def test_k0_values(self):
@@ -293,6 +314,56 @@ class TestBoundReport:
         assert math.isfinite(rep.upper)
         assert rep.lower <= rep.series_root * (1 + 1e-12) <= rep.upper
         assert all(e.startswith("GOptimized:") for e in rep.errors)
+
+
+class TestCandidates:
+    def test_every_public_bound_listed_once(self):
+        names = [c.name for c in CANDIDATES]
+        assert len(set(names)) == len(names) == 7
+        assert {c.side for c in CANDIDATES} == {"lower", "upper"}
+
+    def test_report_lower_candidates(self):
+        # the k0 term never exceeds H0Search, so it does not compete
+        for regime in (Regime.LARGE_P, Regime.LARGE_BETA):
+            assert [c.method for c in CANDIDATES
+                    if c.side == "lower" and regime in c.regimes] == [
+                "H0Search", "HContinuous"]
+
+    def test_report_calls_module_globals(self, monkeypatch):
+        # a patched module attribute is what the report runs
+        monkeypatch.setattr(bounds, "upper_g_optimized",
+                            lambda q: (1e9, 0.25))
+        rep = bound_report(BellQuery(10, 1))
+        assert rep.upper_method == "ClosedFormLargeP"
+        assert rep.witness["lambda_star"] == 0.25
+
+    def test_table_drives_the_sandwich_suite(self, monkeypatch):
+        wrong = tuple(
+            c._replace(evaluate=lambda q: (
+                bounds.rough_upper_triangle(q) / 1e3, None))
+            if c.name == "RoughTriangle" else c
+            for c in CANDIDATES)
+        monkeypatch.setattr(bounds, "CANDIDATES", wrong)
+        sandwich = next(r for r in verify.suite_sandwich()
+                        if r.name == "sandwich")
+        assert not sandwich.passed
+        assert "RoughTriangle" in sandwich.detail
+
+    @given(p=log_uniform(1.0, 500.0), beta=log_uniform(1e-300, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_every_bound_on_its_side_or_refused(self, p, beta):
+        q = BellQuery(p, beta)
+        root = series_root(p, beta)
+        for c in CANDIDATES:
+            try:
+                value, _ = c.evaluate(q)
+            except DomainError:
+                continue
+            assert math.isfinite(value), c.name
+            assert c.on_side(value, root, REL_SLACK), (c.name, value, root)
+        rep = bound_report(q)
+        assert rep.lower <= root * (1 + REL_SLACK)
+        assert rep.upper >= root * (1 - REL_SLACK)
 
 
 class TestRatioConvergence:
