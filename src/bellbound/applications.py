@@ -8,7 +8,9 @@ sequences with prescribed moment sums, and the brute-force oracles
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import BudgetError, DomainError
 from .series import BellQuery, bell_dobinski
@@ -41,8 +43,11 @@ class DiscreteDist:
         return _fsum_in_range((v * pr for v, pr in self.atoms), "mean")
 
     def moment(self, p: float) -> float:
-        return _fsum_in_range((v**p * pr for v, pr in self.atoms),
-                              f"moment of order {p:g}")
+        what = f"moment of order {p:g}"
+        e = _scale_exponent([max(self.atoms)[0]], p)  # the largest value
+        value = _fsum_in_range((math.ldexp(v, -e)**p * pr
+                                for v, pr in self.atoms), what)
+        return _scale_back((value,), e, p, what)[0]
 
     def scaled(self, c: float) -> "DiscreteDist":
         return DiscreteDist(tuple((c * v, pr) for v, pr in self.atoms))
@@ -89,10 +94,46 @@ def _fsum_in_range(terms, what: str) -> float:
         raise DomainError(f"{what} exceeds the double range") from None
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
+# A scaled moment below this lost terms to underflow (each less than
+# 2**-1074) beyond its rounding.
+_SCALED_FLOOR = sys.float_info.min / sys.float_info.epsilon
+
+
+def _scale_exponent(tops: list[float], power: float, count: int = 1) -> int:
+    """The least e >= 0 with count * (sum(tops) / 2**e)**power < 2**1024,
+    power taken as at least 1 so that the sum fits too: 0 wherever it is in
+    the double range, so that the atoms are then taken as given.  Division
+    by 2**e is exact, bar atoms pushed into the subnormals."""
+    top = max(tops)
+    k = math.frexp(top)[1]  # every sum of tops is below 2**(k + bit_length)
+    room = 1024.0 - math.log2(count)
+    power = max(power, 1.0)
+    if top == 0 or (k + len(tops).bit_length()) * power <= room:
+        return 0
+    bits = k + math.log2(math.fsum(math.ldexp(t, -k) for t in tops))
+    return max(0, math.floor(bits - room / power) + 1)
+
+
+def _scale_back(values: tuple[float, ...], e: int, p: float,
+                what: str) -> tuple[float, ...]:
+    """p-homogeneous values computed on the atoms divided by 2**e, each
+    multiplied back by 2**(e*p) by adding to its binary exponent (exact at
+    integer p); DomainError when one leaves the double range.  At large p
+    one step of e moves the terms by 2**p, so the scaled first value can
+    fall to where its terms underflow: DomainError then too."""
+    if e:
+        if values[0] < _SCALED_FLOOR:
+            raise DomainError(f"{what} underflows when the atoms are "
+                              f"scaled by 2**-{e}")
+        n, frac = divmod(Fraction(p) * e, 1)  # e * p without rounding
+        try:
+            values = tuple(math.ldexp(v * 2.0 ** float(frac), n)
+                           for v in values)
+        except OverflowError:
+            values = (math.inf,)
+    if not all(map(math.isfinite, values)):
         raise DomainError(f"{what} exceeds the double range")
-    return value
+    return values
 
 
 def _exp_in_range(log_value: float, what: str) -> float:
@@ -129,7 +170,8 @@ def schechtman_extremal(prob: ExtremalProblem) -> float:
 
 def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
     """Enumerate all outcome tuples of the independent summands and
-    accumulate prob * (sum of values)^p exactly (to float precision)."""
+    accumulate prob * (sum of values)^p exactly (to float precision),
+    scaled by a power of two where a power would overflow."""
     import numpy as np
 
     if p <= 0:
@@ -142,16 +184,17 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
         states *= len(d.atoms)
         if states > ENUM_BUDGET:
             raise BudgetError(f"enumeration exceeds {ENUM_BUDGET} states")
+    e = _scale_exponent([max(d.atoms)[0] for d in dists], p)
     sums = np.zeros(1)
     probs = np.ones(1)
-    with np.errstate(over="ignore"):
-        for d in dists:
-            values, weights = zip(*d.atoms)
-            sums = np.add.outer(sums, values).ravel()
-            probs = np.multiply.outer(probs, weights).ravel()
+    for d in dists:
+        values, weights = zip(*d.atoms)
+        sums = np.add.outer(sums, np.ldexp(values, -e)).ravel()
+        probs = np.multiply.outer(probs, weights).ravel()
+    with np.errstate(over="ignore"):  # within rounding of 2**1024
         value = float(np.dot(probs, sums**p))
-    return SumMomentResult(value=_finite(value, "E(sum eta_j)^p"),
-                           method="Enumeration", n=len(dists))
+    value, = _scale_back((value,), e, p, "E(sum eta_j)^p")
+    return SumMomentResult(value=value, method="Enumeration", n=len(dists))
 
 
 def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
@@ -168,16 +211,23 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
         raise DomainError(f"p must be > 0, got {p}")
     rng = np.random.Generator(np.random.Philox(seed))
     totals = np.zeros(samples)
-    with np.errstate(over="ignore"):
+    tops = []
+    # inf, and inf - inf in the deviations, where the largest sums pass
+    # DBL_MAX: refused in _scale_back
+    with np.errstate(over="ignore", invalid="ignore"):
         for d in dists:
             values, weights = zip(*d.atoms)
-            totals += rng.choice(values, size=samples, p=weights)
-        powered = totals**p
-        # Once the mean is finite every term is, so std meets no inf - inf
-        # and only overflow needs silencing.
-        value = _finite(float(powered.mean()), "E(sum eta_j)^p")
-        stderr = _finite(float(powered.std(ddof=1) / math.sqrt(samples)),
-                         "Monte Carlo standard error")
+            drawn = rng.choice(values, size=samples, p=weights)
+            tops.append(float(drawn.max()))
+            totals += drawn
+        # a sum of `samples` squares enters the standard error; dividing
+        # the finite sums by 2**e is dividing each drawn value by it
+        e = _scale_exponent(tops, 2.0 * p, samples)
+        powered = np.ldexp(totals, -e)**p
+        mean = float(powered.mean())
+        stderr = float(powered.std(ddof=1) / math.sqrt(samples))
+    value, stderr = _scale_back((mean, stderr), e, p,
+                                "E(sum eta_j)^p or its standard error")
     return SumMomentResult(value=value, method="MonteCarlo", n=len(dists),
                            stderr=stderr)
 

@@ -4,9 +4,9 @@ Upper side: the optimized Chernoff/MGF bound g_beta(p), its closed form in
 the regime p >= 2*beta, the K+ * beta bound for p/beta <= 2, and a rough
 triangle-inequality bound.  Lower side: the largest single Dobinski term
 (integer search), its Stirling-smoothed continuous relaxation, the
-closed-form term at k0, and the K- * beta candidate (flagged, never
-asserted).  All objectives are evaluated in log-space.  CANDIDATES lists
-every public bound once; bound_report and the sandwich suite both read it.
+closed-form term at k0, Jensen's beta, and the K- * beta candidate.  All
+objectives are evaluated in log-space.  CANDIDATES lists every public bound
+once; bound_report and the sandwich suite both read it.
 """
 from __future__ import annotations
 
@@ -45,7 +45,13 @@ def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
     if q.p < 1:
         raise DomainError(f"upper_g_optimized requires p >= 1, got p={q.p}")
     lam = lambert_w(q.ratio)
-    return math.exp(log_mgf_bound(q, lam)), lam
+    try:
+        g = math.exp(log_mgf_bound(q, lam))
+    except OverflowError:
+        raise DomainError(f"upper_g_optimized exceeds the double range at "
+                          f"p={q.p}, beta={q.beta}") from None
+    # g >= B^{1/p} >= beta (Jensen), which rounding breaks past beta ~ 1e14
+    return max(g, q.beta), lam
 
 
 def upper_closed_form_largep(q: BellQuery) -> float:
@@ -121,7 +127,7 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
         x = float(peak_index(p, beta))
         for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
             slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
-            curv = -(p - 0.5) / (x * x) - 1.0 / x - 1.0 / (6.0 * x**3)
+            curv = -(p - 0.5) / (x * x) - 1.0 / x - 1.0 / (6.0 * x * x * x)
             x_new = max(1.0, x - slope / curv)
             if abs(x_new - x) <= 1e-15 * x:
                 break
@@ -153,8 +159,16 @@ def lower_closed_form_largep(q: BellQuery) -> float:
     return math.exp(log_term(k0, q.p, q.beta) / q.p)
 
 
+def lower_jensen(q: BellQuery) -> float:
+    """Jensen's lower bound beta on B^{1/p}: E X^p >= (E X)^p for p >= 1."""
+    if q.p < 1:
+        raise DomainError(f"lower_jensen requires p >= 1, got p={q.p}")
+    return q.beta
+
+
 def regime_upper_largebeta(q: BellQuery) -> float:
-    """K+ * beta with K+ = exp((e^2 - 3)/2), valid for p >= 1, p/beta <= 2."""
+    """K+ * beta, K+ = exp((e^2 - 3)/2), for p >= 1, p/beta <= 2: the MGF
+    bound at lambda = p/beta there, so never below upper_g_optimized."""
     if q.p < 1:
         raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio > 2.0:
@@ -164,22 +178,22 @@ def regime_upper_largebeta(q: BellQuery) -> float:
 
 @dataclass(frozen=True)
 class KMinusBound:
-    """The K- * beta lower-bound candidate.  Never asserted: `holds` records
-    the per-query series check (None when the series is out of reach)."""
+    """The K- * beta lower-bound candidate; `holds` records whether the
+    proof K- * beta <= beta <= B^{1/p} (Jensen) applies, i.e. K- <= 1."""
 
     value: float
     constant: float
     constant_label: str  # "formula" or "paper"
-    holds: bool | None
+    holds: bool
 
 
-def regime_lower_largebeta(q: BellQuery, use_paper_constant: bool = False,
-                           series_root: float | None = None) -> KMinusBound:
+def regime_lower_largebeta(q: BellQuery,
+                           use_paper_constant: bool = False) -> KMinusBound:
     """K- * beta candidate lower bound for p >= 1, p/beta <= 2.
 
     The default constant is the auditable formula value
     (2 pi)^{-1/2} exp(-1/(2e) + 1/3) ~ 0.4632; the printed 0.6538 is kept
-    behind the flag.  The result is checked against the series per query.
+    behind the flag.  Both are below 1, so Jensen proves the bound.
     """
     if q.p < 1:
         raise DomainError(f"requires p >= 1, got p={q.p}")
@@ -187,14 +201,8 @@ def regime_lower_largebeta(q: BellQuery, use_paper_constant: bool = False,
         raise DomainError(f"regime p/beta <= 2 violated: p/beta = {q.ratio}")
     const, label = ((K_MINUS_PAPER, "paper") if use_paper_constant
                     else (K_MINUS_FORMULA, "formula"))
-    value = const * q.beta
-    holds: bool | None = None
-    if series_root is None and q.p <= p_max_limit():
-        series_root = bell_dobinski(q).root(q.p)
-    if series_root is not None:
-        holds = value <= series_root * (1.0 + 1e-9)
-    return KMinusBound(value=value, constant=const, constant_label=label,
-                       holds=holds)
+    return KMinusBound(value=const * q.beta, constant=const,
+                       constant_label=label, holds=const <= 1.0)
 
 
 @cache
@@ -222,14 +230,13 @@ def fitted_rough_constant() -> float:
     return best
 
 
-def rough_upper_triangle(q: BellQuery, c3: float | None = None) -> float:
+def rough_upper_triangle(q: BellQuery) -> float:
     """Triangle-inequality upper bound on B^{1/p}:
-    ceil(beta) * (p / (e ln p)) * (1 + c3 * lnln p / ln p).
-
-    Valid whenever c3 >= the beta = 1 fitted constant and p is at least the
-    first point of the fit's grid (p ~ 2.85); below it the fit says nothing
-    and the formula falls under B^{1/p}, even below 0.  For fractional beta
-    the ceiling keeps the sum-of-norms argument applicable.
+    ceil(beta) * (p / (e ln p)) * (1 + c3 * lnln p / ln p), c3 the beta = 1
+    fitted constant.  Valid whenever p is at least the first point of the
+    fit's grid (p ~ 2.85); below it the fit says nothing and the formula
+    falls under B^{1/p}, even below 0.  For fractional beta the ceiling
+    keeps the sum-of-norms argument applicable.
     """
     p_min = _rough_fit_grid()[0]
     if q.p < p_min:
@@ -237,13 +244,9 @@ def rough_upper_triangle(q: BellQuery, c3: float | None = None) -> float:
                           f"fitted range), got p={q.p}")
     if q.beta < 1:
         raise DomainError(f"requires beta >= 1, got beta={q.beta}")
-    if c3 is None:
-        c3 = fitted_rough_constant()
-    if not (c3 > 0):
-        raise DomainError(f"c3 must be > 0, got {c3!r}")
     lnp = math.log(q.p)
     return math.ceil(q.beta) * (q.p / (math.e * lnp)) * (
-        1.0 + c3 * math.log(lnp) / lnp
+        1.0 + fitted_rough_constant() * math.log(lnp) / lnp
     )
 
 
@@ -306,25 +309,26 @@ class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
         return value >= root * (1.0 - slack)
 
 
-_LARGE_P, _LARGE_BETA = (Regime.LARGE_P,), (Regime.LARGE_BETA,)
+_BOTH = (Regime.LARGE_P, Regime.LARGE_BETA)
 
 # Every public bound, lower side first.  The adapters look each bound up in
 # the module's globals when called, so a patched module attribute is the one
-# that runs.  The k0 term competes in no regime: a single integer term, it
-# never exceeds H0Search, the largest one.  RoughTriangle is checked, not
-# reported.
+# that runs.  Three compete in no regime: the k0 term never exceeds
+# H0Search, the largest single term; K+ * beta never falls below GOptimized,
+# the infimum it is one value of; RoughTriangle is checked, not reported.
 CANDIDATES = (
-    Candidate("H0Search", "lower", _LARGE_P + _LARGE_BETA, "k_star", lambda q:
+    Candidate("H0Search", "lower", _BOTH, "k_star", lambda q:
               attrgetter("root_bound", "k_star")(lower_h0_search(q))),
-    Candidate("HContinuous", "lower", _LARGE_P + _LARGE_BETA, "x_star",
+    Candidate("HContinuous", "lower", _BOTH, "x_star",
               lambda q: lower_h_continuous(q)),
+    Candidate("Jensen", "lower", _BOTH, None, lambda q: (lower_jensen(q), None)),
     Candidate("ClosedFormLargeP(lower)", "lower", (), None,
               lambda q: (lower_closed_form_largep(q), None)),
-    Candidate("GOptimized", "upper", _LARGE_P, "lambda_star",
+    Candidate("GOptimized", "upper", _BOTH, "lambda_star",
               lambda q: upper_g_optimized(q)),
-    Candidate("ClosedFormLargeP(upper)", "upper", _LARGE_P, None,
+    Candidate("ClosedFormLargeP(upper)", "upper", (Regime.LARGE_P,), None,
               lambda q: (upper_closed_form_largep(q), None)),
-    Candidate("KPlusLargeBeta", "upper", _LARGE_BETA, None,
+    Candidate("KPlusLargeBeta", "upper", (), None,
               lambda q: (regime_upper_largebeta(q), None)),
     Candidate("RoughTriangle", "upper", (), None,
               lambda q: (rough_upper_triangle(q), None)),
@@ -346,10 +350,10 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     series when p <= p_max.
 
     The best of the CANDIDATES that list the regime wins on each side, ties
-    going to the larger (value, method).  Lower: H0Search or HContinuous
-    (capped at two series terms) in both regimes; the k0 term, dominated by
-    H0Search, does not compete.  Upper: the optimized MGF bound or its
-    closed form in LargeP; K+ * beta in LargeBeta, with the K- candidate.
+    going to the larger (value, method).  Lower: H0Search, HContinuous
+    (capped at two series terms) or Jensen's beta in both regimes.  Upper:
+    the optimized MGF bound in both, or its closed form in LargeP.  LargeBeta
+    also carries the K- candidate.
     """
     if q.p < 1:
         raise DomainError(f"bound_report requires p >= 1, got p={q.p}")
@@ -371,10 +375,7 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
             if c.witness_key:
                 witness[c.witness_key] = got[1]
 
-    kminus = None
-    if regime is Regime.LARGE_BETA:
-        kminus = _attempt(errors, "KMinusLargeBeta", lambda: regime_lower_largebeta(
-            q, series_root=series_root))
+    kminus = regime_lower_largebeta(q) if regime is Regime.LARGE_BETA else None
     lower, lower_method = max(cands["lower"], default=(math.nan, "none"))
     upper, upper_method = min(cands["upper"], default=(math.nan, "none"))
     return BoundReport(query=q, regime=regime, lower=lower,

@@ -110,12 +110,13 @@ def _poisson_deviance(x: float, beta: float) -> tuple[float, float]:
     quantity of size x.
     """
     d = x - beta
-    if abs(d) < 0.1 * (x + beta):
-        v = d / (x + beta)
+    half_sum = 0.5 * x + 0.5 * beta  # (x + beta)/2, finite up to DBL_MAX
+    if abs(d) < 0.2 * half_sum:
+        v = 0.5 * d / half_sum
         v2 = v * v
-        dev = d * v + 2.0 * x * v * v2 * (1.0 / 3 + v2 * (1.0 / 5 + v2 * (
+        dev = d * v + x * v * v2 * (1.0 / 3 + v2 * (1.0 / 5 + v2 * (
             1.0 / 7 + v2 * (1.0 / 9 + v2 * (1.0 / 11 + v2 * (
-                1.0 / 13 + v2 / 15))))))
+                1.0 / 13 + v2 / 15)))))) * 2.0
         return dev, dev
     ratio = x / beta  # overflows only for subnormal beta
     lr = x * (math.log(ratio) if ratio < math.inf

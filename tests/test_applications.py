@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,76 @@ class TestMonteCarlo:
     def test_past_double_range(self):
         with pytest.raises(DomainError, match="double range"):
             mc_sum_moment([HUGE, HUGE], 4, samples=10_000, seed=1)
+
+
+class TestScaledMoments:
+    # plain p-th powers of these atoms overflow; the moments do not
+    TINY_TAIL = DiscreteDist(((1e100, 1e-200), (1.0, 1 - 1e-200)))
+
+    def test_representable_moment(self):
+        assert self.TINY_TAIL.moment(4) == pytest.approx(1e200, rel=1e-15)
+        assert exact_sum_moment([self.TINY_TAIL], 4).value == pytest.approx(
+            1e200, rel=1e-15)
+
+    def test_monte_carlo_standard_error(self):
+        d = DiscreteDist(((1e80, 0.5), (0.0, 0.5)))
+        mc = mc_sum_moment([d], 2, samples=10_000, seed=1)
+        assert math.isfinite(mc.stderr) and mc.stderr > 0
+        assert abs(mc.value - 5e159) <= 4 * mc.stderr
+
+    def test_monte_carlo_sums_past_double_range(self):
+        # drawn sums of 3.4e308 are inf; inf - inf in the deviations must
+        # not escape as a RuntimeWarning
+        big = DiscreteDist(((1.7e308, 1.0),))
+        with pytest.raises(DomainError, match="double range"):
+            mc_sum_moment([big, big], 1, samples=10_000, seed=1)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_scaled_by_a_power_of_two_exactly(self, p):
+        # atoms times 2**k, k p > 1024: the moments are those of the plain
+        # atoms times 2**(k p), bit for bit
+        k = 1100 // int(p)
+        d = DiscreteDist(((1.0, 1e-200), (2.0**-60, 1 - 1e-200)))
+        big = d.scaled(2.0**k)
+        assert big.moment(p) == math.ldexp(d.moment(p), k * int(p))
+        assert exact_sum_moment([big, big], p).value == math.ldexp(
+            exact_sum_moment([d, d], p).value, k * int(p))
+        mc, mc_big = (mc_sum_moment([x, x], p, samples=10_000, seed=5)
+                      for x in (d, big))
+        assert mc_big.value == math.ldexp(mc.value, k * int(p))
+        assert mc_big.stderr == math.ldexp(mc.stderr, k * int(p))
+
+    def test_non_integer_p(self):
+        # 2**(e p) is split exactly into its integer and fractional parts
+        mpmath = pytest.importorskip("mpmath")
+        p = 3.7
+        d = DiscreteDist(((1e150, 1e-300), (1.0, 1 - 1e-300)))
+        with mpmath.workdps(40):
+            want = float(sum(mpmath.mpf(v) ** p * pr for v, pr in d.atoms))
+        assert d.moment(p) == pytest.approx(want, rel=1e-15)
+        assert exact_sum_moment([d], p).value == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("top, prob", [(3.0, 1e-300), (2.1, 1e-40)])
+    def test_rare_atom_at_large_p(self, top, prob):
+        # top**1000 overflows; the scaled terms must not underflow
+        # (exact big-integer arithmetic gives `want` to double precision)
+        want = float(sum(
+            Fraction(v) ** 1000 * Fraction(pr)
+            for v, pr in ((top, prob), (1.0, 1 - prob))))
+        d = DiscreteDist(((top, prob), (1.0, 1 - prob)))
+        assert d.moment(1000) == pytest.approx(want, rel=1e-15)
+        assert exact_sum_moment([d], 1000).value == pytest.approx(
+            want, rel=1e-15)
+
+    def test_refuses_what_scaling_underflows(self):
+        # 1.627**1713 overflows and one step of scaling moves the terms by
+        # 2**-1713, below the double range: refused, not returned as ~0
+        d = DiscreteDist(((1.6268869276187377, 8.0393595478850185e-224),
+                          (0.0367937493736251, 1.0)))
+        with pytest.raises(DomainError, match="underflows"):
+            d.moment(1713)
+        with pytest.raises(DomainError, match="underflows"):
+            exact_sum_moment([d], 1713)
 
 
 class TestCheckFamily:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from bellbound.bounds import (
     lower_closed_form_largep,
     lower_h0_search,
     lower_h_continuous,
+    lower_jensen,
     regime_lower_largebeta,
     regime_upper_largebeta,
     rough_upper_triangle,
@@ -69,6 +71,19 @@ class TestUpperGOptimized:
         # beta > 700 (p + 1): lambda* = W(p/beta) is below 1e-3
         g, _ = upper_g_optimized(BellQuery(p, beta))
         assert g >= series_root(p, beta)
+
+    @pytest.mark.parametrize(
+        "beta", [1e14, 1e16, 2.680240813500836e52, 8e307, sys.float_info.max])
+    def test_never_below_beta(self, beta):
+        # g >= B^{1/p} >= beta, while the rounding of the log, ~1e-16 *
+        # ln(beta) relative, exceeds g/beta - 1 ~ p/(2 beta) here
+        for p in (1.0, 1.5, 2.0):
+            assert upper_g_optimized(BellQuery(p, beta))[0] >= beta
+
+    def test_past_double_range(self):
+        # beta * (1 + p/(2 beta)) is DBL_MAX to rounding; its log rounds up
+        with pytest.raises(DomainError, match="double range"):
+            upper_g_optimized(BellQuery(50, sys.float_info.max))
 
     def test_witness_stationarity(self):
         # interior optimum solves lambda * e^lambda = p / beta
@@ -237,6 +252,23 @@ class TestRegimeLargeBeta:
         with pytest.raises(DomainError):
             regime_upper_largebeta(BellQuery(10, 1))
 
+    def test_jensen(self):
+        for p, beta in [(1, 3.5), (2, 10), (500, 1e-300)]:
+            q = BellQuery(p, beta)
+            assert lower_jensen(q) == beta <= series_root(p, beta) * (1 + 1e-12)
+        with pytest.raises(DomainError):
+            lower_jensen(BellQuery(0.5, 1))
+
+    def test_kminus_holds_without_the_series(self, monkeypatch):
+        # the flag is proven (K- <= 1, Jensen), not checked against the series
+        def refuse(*args, **kwargs):
+            raise AssertionError("series called")
+
+        monkeypatch.setattr(bounds, "bell_dobinski", refuse)
+        for paper in (False, True):
+            km = regime_lower_largebeta(BellQuery(2, 1e12), paper)
+            assert km.holds is True and km.value <= 1e12
+
     def test_kminus_default_and_flag(self):
         km = regime_lower_largebeta(BellQuery(2, 10))
         assert km.constant_label == "formula"
@@ -253,8 +285,8 @@ class TestRoughTriangle:
     def test_fitted_constant_covers_examples(self):
         c3 = fitted_rough_constant()
         assert c3 > 0
-        assert rough_upper_triangle(BellQuery(10, 1), c3) >= series_root(10, 1)
-        assert rough_upper_triangle(BellQuery(10, 3), c3) >= series_root(10, 3)
+        assert rough_upper_triangle(BellQuery(10, 1)) >= series_root(10, 1)
+        assert rough_upper_triangle(BellQuery(10, 3)) >= series_root(10, 3)
 
     def test_integer_beta_scaling(self):
         one = rough_upper_triangle(BellQuery(10, 1))
@@ -293,12 +325,32 @@ class TestBoundReport:
         assert rep.series_root == pytest.approx(3.2094930392192045, rel=1e-10)
 
     def test_largebeta_report(self):
-        rep = bound_report(BellQuery(2, 10))
+        q = BellQuery(2, 10)
+        rep = bound_report(q)
         assert rep.regime is Regime.LARGE_BETA
-        assert rep.upper == pytest.approx(89.7576394045, rel=1e-9)
-        assert rep.upper_method == "KPlusLargeBeta"
+        assert rep.upper == upper_g_optimized(q)[0]
+        assert rep.upper <= K_PLUS * 10
+        assert rep.upper_method == "GOptimized"
+        assert rep.lower == 10 and rep.lower_method == "Jensen"
         assert rep.lower <= math.sqrt(110) <= rep.upper
         assert rep.kminus is not None and rep.kminus.holds is True
+
+    def test_one_series_call_when_it_fails(self, monkeypatch):
+        # beta = 1e9 is past the series budget; the K- flag rests on Jensen,
+        # so the report does not run the series a second time for it
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bell_dobinski(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "bell_dobinski", counted)
+        rep = bound_report(BellQuery(2, 1e9))
+        assert len(calls) == 1
+        assert len([e for e in rep.errors if e.startswith("series:")]) == 1
+        assert rep.lower == 1e9 and rep.lower_method == "Jensen"
+        assert math.isfinite(rep.upper) and rep.upper_method == "GOptimized"
+        assert rep.kminus.holds is True
 
     def test_boundary_tie(self):
         assert bound_report(BellQuery(2, 1)).regime is Regime.LARGE_P
@@ -316,10 +368,26 @@ class TestBoundReport:
         assert all(e.startswith("GOptimized:") for e in rep.errors)
 
 
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("beta", [1e16, 8e307, sys.float_info.max])
+    def test_largest_beta(self, p, beta):
+        # x + beta overflowed in the Poisson deviance (H0Search NaN) and
+        # x**3 in HContinuous's Newton step (OverflowError)
+        rep = bound_report(BellQuery(p, beta))
+        assert (rep.lower_method, rep.upper_method) == ("Jensen", "GOptimized")
+        assert rep.lower == beta <= rep.upper
+        assert all(e.startswith("series:") for e in rep.errors)
+
+    def test_largest_beta_refusal_is_reported(self):
+        rep = bound_report(BellQuery(50, sys.float_info.max))
+        assert rep.lower == sys.float_info.max
+        assert any(e.startswith("GOptimized:") for e in rep.errors)
+
+
 class TestCandidates:
     def test_every_public_bound_listed_once(self):
         names = [c.name for c in CANDIDATES]
-        assert len(set(names)) == len(names) == 7
+        assert len(set(names)) == len(names) == 8
         assert {c.side for c in CANDIDATES} == {"lower", "upper"}
 
     def test_report_lower_candidates(self):
@@ -327,7 +395,31 @@ class TestCandidates:
         for regime in (Regime.LARGE_P, Regime.LARGE_BETA):
             assert [c.method for c in CANDIDATES
                     if c.side == "lower" and regime in c.regimes] == [
-                "H0Search", "HContinuous"]
+                "H0Search", "HContinuous", "Jensen"]
+
+    def test_report_upper_candidates(self):
+        # K+ * beta is one value of the infimum GOptimized, so it does not
+        # compete; the closed form applies only at p/beta >= 2
+        assert [c.method for c in CANDIDATES if c.side == "upper"
+                and Regime.LARGE_BETA in c.regimes] == ["GOptimized"]
+        assert [c.method for c in CANDIDATES if c.side == "upper"
+                and Regime.LARGE_P in c.regimes] == [
+            "GOptimized", "ClosedFormLargeP"]
+
+    @given(p=log_uniform(1.0, 500.0), beta=log_uniform(1e-3, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_g_optimized_below_the_bounds_it_minimises(self, p, beta):
+        # GOptimized is the inf over lambda of the MGF bound; the closed form
+        # is the MGF bound at lambda0, and K+ * beta the one at lambda =
+        # p/beta, maximised over p/beta <= 2
+        q = BellQuery(p, beta)
+        g, _ = upper_g_optimized(q)
+        for other in (upper_closed_form_largep, regime_upper_largebeta):
+            try:
+                bound = other(q)
+            except DomainError:
+                continue
+            assert g <= bound * (1 + 1e-12), other.__name__
 
     def test_report_calls_module_globals(self, monkeypatch):
         # a patched module attribute is what the report runs

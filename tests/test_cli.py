@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bellbound import BellQuery, bell_dobinski, verify
+from bellbound import BellQuery, bell_dobinski, bounds, verify
 from bellbound.cli import ScanSpec, main
 
 
@@ -17,6 +17,11 @@ def run_main(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def schema(name):
+    return json.loads(resources.files("bellbound.schemas").joinpath(
+        f"{name}.schema.json").read_text())
 
 
 class TestEval:
@@ -84,7 +89,25 @@ class TestBounds:
             ["bounds", "--p", "2", "--beta", "10", "--format", "json"], capsys)
         payload = json.loads(out)
         assert payload["regime"] == "LargeBeta"
-        assert payload["upper"] == pytest.approx(89.7576394045, rel=1e-9)
+        assert payload["upper_method"] == "GOptimized"
+        assert payload["upper"] == bounds.upper_g_optimized(BellQuery(2, 10))[0]
+        assert payload["upper"] < 89.7576394045  # K+ * 10
+
+    def test_largebeta_json_schema(self, capsys):
+        code, out = run_main(
+            ["bounds", "--p", "2", "--beta", "10", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("bounds"))
+        assert payload["lower_method"] == "Jensen"
+        assert payload["kminus"]["holds"] is True
+
+    def test_schema_methods_are_the_reported_candidates(self):
+        props = schema("bounds")["properties"]
+        for side in ("lower", "upper"):
+            reported = {c.method for c in bounds.CANDIDATES
+                        if c.side == side and c.regimes}
+            assert set(props[f"{side}_method"]["enum"]) == reported | {"none"}
 
     def test_boundary_tie(self, capsys):
         _, out = run_main(
@@ -130,6 +153,22 @@ class TestScan:
             resources.files("bellbound.schemas").joinpath(
                 "scan.schema.json").read_text())
         jsonschema.validate(payload, schema)
+
+    def test_json_schema_across_both_regimes(self, capsys):
+        code, out = run_main(
+            ["scan", "--p-start", "1", "--p-stop", "200", "--p-count", "9",
+             "--p-log", "--beta-start", "0.01", "--beta-stop", "1e4",
+             "--beta-count", "7", "--beta-log", "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        jsonschema.validate(rows, schema("scan"))
+        assert {row["regime"] for row in rows} == {"LargeP", "LargeBeta"}
+        report_schema = schema("bounds")["properties"]
+        for row in rows:
+            assert row["error"] is None
+            for side in ("lower", "upper"):
+                jsonschema.validate(row[f"{side}_method"],
+                                    report_schema[f"{side}_method"])
 
     def test_debruijn_column_beta1_only(self, capsys):
         _, out = run_main(
