@@ -210,20 +210,16 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
     if p <= 0:
         raise DomainError(f"p must be > 0, got {p}")
     rng = np.random.Generator(np.random.Philox(seed))
+    # a sum of `samples` squares enters the standard error
+    e = _scale_exponent([max(d.atoms)[0] for d in dists], 2.0 * p, samples)
     totals = np.zeros(samples)
-    tops = []
-    # inf, and inf - inf in the deviations, where the largest sums pass
-    # DBL_MAX: refused in _scale_back
+    # inf, and inf - inf in the deviations, within rounding of 2**1024:
+    # refused in _scale_back
     with np.errstate(over="ignore", invalid="ignore"):
         for d in dists:
             values, weights = zip(*d.atoms)
-            drawn = rng.choice(values, size=samples, p=weights)
-            tops.append(float(drawn.max()))
-            totals += drawn
-        # a sum of `samples` squares enters the standard error; dividing
-        # the finite sums by 2**e is dividing each drawn value by it
-        e = _scale_exponent(tops, 2.0 * p, samples)
-        powered = np.ldexp(totals, -e)**p
+            totals += rng.choice(np.ldexp(values, -e), size=samples, p=weights)
+        powered = totals**p
         mean = float(powered.mean())
         stderr = float(powered.std(ddof=1) / math.sqrt(samples))
     value, stderr = _scale_back((mean, stderr), e, p,

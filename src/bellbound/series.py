@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import BudgetError, DomainError
 
 DEFAULT_P_MAX = 500.0
-DEFAULT_TERM_BUDGET = 200_000
+DEFAULT_TERM_BUDGET = 500_000
 P_MAX_ENV = "BELLBOUND_PMAX"
 
 
@@ -91,6 +91,11 @@ class EvalResult:
 # each libm log/log1p/exp (one ulp) and u for each arithmetic operation.
 _U = 2.0**-53
 
+# bell_dobinski builds each term from its neighbour by the term ratio and
+# every _REANCHOR-th term of a side directly, so a term's rounding error
+# grows over at most _REANCHOR - 1 ratio steps.
+_REANCHOR = 32
+
 # Exact log(k!) for k <= _LOG_FACTORIAL_MAX, each exactly rounded (lgamma(3)
 # is off log(2) by one ulp, enough to break exact term ties).  Beyond it the
 # Stirling remainder below is accurate to well under an ulp.
@@ -159,14 +164,39 @@ def log_term(k: int, p: float, beta: float) -> float:
     return p * math.log(k) + _log_poisson(k, beta, math.log(beta))[0]
 
 
-def _log_term_ratio(k: int, p: float, log_beta: float) -> float:
-    """log(t_{k+1}/t_k) = p*log(1 + 1/k) + log(beta) - log(k + 1), for k >= 1.
+# Doubles from 2**52 up are integers.
+_INTEGER_FLOATS = 2.0**52
+
+
+def _log1p_minus_x(x: float) -> float:
+    """log(1 + x) - x without the cancellation at small |x|."""
+    if abs(x) < 1e-4:
+        return -x * x * (0.5 - x * (1.0 / 3 - x * (0.25 - 0.2 * x)))
+    return math.log1p(x) - x
+
+
+def _log_term_ratio(k: int, p: float, beta: float, log_beta: float) -> float:
+    """log(t_{k+1}/t_k) = p*log(1 + 1/k) + log(beta / (k + 1)), for k >= 1.
 
     Strictly decreasing in k, which makes the terms unimodal and the
-    geometric tail bounds on both sides of the peak rigorous.  log(beta)
-    is taken apart because beta/(k + 1) underflows for subnormal beta.
+    geometric tail bounds on both sides of the peak rigorous.  Away from
+    k ~ beta, log(beta) is taken apart, because beta/(k + 1) underflows for
+    subnormal beta.  Within a factor 2 of beta, log(beta) - log(k + 1)
+    would cancel to ulp(log beta), which at beta = 1e30 puts the peak
+    ~1e16 indices off, so the second part is -log1p(d / beta) with
+    d = k + 1 - beta formed exactly (Sterbenz).  From 2**52 on, the two
+    parts agree to within their own rounding at a near-tie, so their
+    leading terms p/k - d/beta are subtracted in exact integers.
     """
-    return p * math.log1p(1.0 / k) + log_beta - math.log(k + 1.0)
+    if not 0.5 * beta <= k + 1 <= 2.0 * beta:
+        return p * math.log1p(1.0 / k) + log_beta - math.log(k + 1.0)
+    if beta < _INTEGER_FLOATS:
+        return p * math.log1p(1.0 / k) - math.log1p(((k + 1) - beta) / beta)
+    b = int(beta)
+    d = k + 1 - b
+    num, den = p.as_integer_ratio()
+    lead = (num * b - d * k * den) / (k * b * den)  # correctly rounded
+    return lead + p * _log1p_minus_x(1 / k) - _log1p_minus_x(d / b)
 
 
 def peak_index(p: float, beta: float) -> int:
@@ -174,39 +204,36 @@ def peak_index(p: float, beta: float) -> int:
     t_{k+1} <= t_k, so the earlier index of a tied pair.
 
     Bisects on the strictly decreasing log term ratio, whose sign changes
-    by k = beta + p + 1, then settles the tie rule on log_term itself: a
-    ratio within rounding of 0 can put the bisection one index off.
-    O(log(beta + p)) evaluations.
+    by k = beta + p + 1: O(log(beta + p)) evaluations.  A ratio of exactly
+    0 is a tie (p = 0 at integer beta, say); below 2**52 it is settled on
+    log_term, so that the peak is the larger of the pair as log_term ranks
+    them.  Above, neighbouring log_terms agree to within their rounding.
     """
     log_beta = math.log(beta)
-    lo, hi = 1, math.ceil(beta + p) + 1
-    if _log_term_ratio(lo, p, log_beta) <= 0.0:
+    lo, hi = 1, math.ceil(beta) + math.ceil(p) + 1
+    if _log_term_ratio(lo, p, beta, log_beta) <= 0.0:
         hi = lo
     while hi - lo > 1:  # ratio(lo) > 0 >= ratio(hi)
         mid = (lo + hi) // 2
-        if _log_term_ratio(mid, p, log_beta) > 0.0:
+        if _log_term_ratio(mid, p, beta, log_beta) > 0.0:
             lo = mid
         else:
             hi = mid
-    cur = log_term(hi, p, beta)
-    if hi > 1 and log_term(hi - 1, p, beta) >= cur:
-        return hi - 1
-    if log_term(hi + 1, p, beta) > cur:
+    if (beta < _INTEGER_FLOATS and _log_term_ratio(hi, p, beta, log_beta) == 0.0
+            and log_term(hi + 1, p, beta) > log_term(hi, p, beta)):
         return hi + 1
     return hi
 
 
-def _geometric_tail(w: float, w_prev: float) -> float:
-    """Bound w * r / (1 - r), r = w / w_prev, on the terms beyond a term w
-    reached from w_prev; inf unless r < 1.
-
-    Walking away from the peak on either side, each step ratio is at most
-    the one before it (the term ratio is strictly decreasing), so every
-    later ratio is at most r.
-    """
-    if w >= w_prev:
-        return math.inf
-    return w * w / (w_prev - w)
+def _direct_term(k: int, p: float, top: int, beta: float, log_beta: float,
+                 log_pois_m: float) -> tuple[float, float]:
+    """The k-th Dobinski term over the top-th, t_k / t_top, from
+    _log_poisson, and a bound on its relative error in units of _U."""
+    log_pow = p * math.log1p((k - top) / top) if p else 0.0
+    log_pois, mag = _log_poisson(k, beta, log_beta)
+    d_pois = log_pois - log_pois_m
+    return (math.exp(log_pow + d_pois),
+            5.0 * abs(log_pow) + 6.0 * mag + 2.0 * abs(d_pois) + 2.0)
 
 
 def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
@@ -223,15 +250,21 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     ~sqrt(beta + p), so the cost is O(sqrt(beta) * sqrt(log(1/tol))) terms
     at large beta, and O(log(beta + p)) to find the peak.
 
-    A forward-error bound on rounding is kept alongside: from the operands
-    of the peak term, each term's offset from it, the sum and the final
-    addition.  Summation stops once truncation <= tol - rounding, so tol
-    bounds the total error whenever rounding <= tol/2.  Otherwise (only
-    when |log B| runs to several hundred or more, where log_value's own
-    ulp approaches tol) truncation is pushed to tol/2 and the returned
-    certificate honestly exceeds tol.  p above p_max_limit() is refused,
-    and a sum not certified within DEFAULT_TERM_BUDGET terms raises
-    BudgetError.
+    Each term is its neighbour times the term ratio,
+    (beta / (k + 1)) * (1 + 1/k)^p walking right and its inverse walking
+    left, except every _REANCHOR-th term of a side and any step from or to
+    k = 0: those are built directly from _log_poisson, which costs several
+    times as much.  A forward-error bound on rounding is kept alongside:
+    from the operands of the peak term, each term's own error, the sum and
+    the final addition.  A direct term's error is bounded from its
+    operands; a ratio step adds 6 + 4p/k units of roundoff to the error of
+    the term it starts from.  Summation stops once truncation
+    <= tol - rounding, so tol bounds the total error whenever rounding
+    <= tol/2.  Otherwise (only when |log B| runs to several hundred or
+    more, where log_value's own ulp approaches tol) truncation is pushed
+    to tol/2 and the returned certificate honestly exceeds tol.  p above
+    p_max_limit() is refused, and a sum not certified within
+    DEFAULT_TERM_BUDGET terms raises BudgetError.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
@@ -249,11 +282,13 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     log_pow_m = p * math.log(top) if p else 0.0
     log_peak = log_pow_m + log_pois_m
     # First-order rounding model.  Errors in p*log(m) and in the addition
-    # forming log_peak shift log_value directly.  An error in a term's
-    # Poisson part or offset moves log_value by that error times the term's
-    # share of the sum; the peak's Poisson error enters with weight 1, since
-    # every offset subtracts the same computed log_pois_m.  peak_err and
-    # off_err (the weighted sum, in units of _U) keep the two parts.
+    # forming log_peak shift log_value directly.  An error in a term moves
+    # log_value by that error times the term's share of the sum.  A direct
+    # term's offset subtracts the computed log_pois_m, which cancels the
+    # peak's Poisson error against log_peak, so it carries its own Poisson
+    # error; the peak, and the terms built from it by exact ratios, carry
+    # the peak's.  peak_err and off_err (the weighted sum, in units of _U)
+    # keep the two parts.
     peak_err = _U * (3.0 * abs(log_pow_m) + abs(log_peak))
     off_err = 6.0 * mag_m
     # s sums the terms scaled by the peak term, which contributes 1.
@@ -262,8 +297,12 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     k_low = 0 if p == 0 else 1
     right = left = top
     right_w = left_w = 1.0
-    right_tail = math.inf
-    left_tail = 0.0 if top == k_low else math.inf
+    # relative error bound of each side's last term, in units of _U
+    right_e = left_e = 6.0 * mag_m
+    exp, log1p, inf = math.exp, math.log1p, math.inf
+    right_tail = inf
+    left_tail = 0.0 if top == k_low else inf
+    four_p = 4.0 * p  # a ratio step over (j, j + 1) adds 6 + 4p/j
 
     while True:
         tails = left_tail + right_tail
@@ -277,26 +316,33 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
             raise BudgetError(
                 f"series for (p={p}, beta={beta}) did not certify tol={tol} "
                 f"within {DEFAULT_TERM_BUDGET} terms")
-        go_right = right_tail >= left_tail
-        k = right + 1 if go_right else left - 1
-        log_pow = p * math.log1p((k - top) / top) if p else 0.0
-        log_pois, mag = _log_poisson(k, beta, log_beta)
-        d_pois = log_pois - log_pois_m
-        w = math.exp(log_pow + d_pois)
-        off_err += w * (5.0 * abs(log_pow) + 6.0 * mag + 2.0 * abs(d_pois)
-                        + 2.0)
+        if right_tail >= left_tail:
+            k = right + 1
+            if right == 0 or (k - top) % _REANCHOR == 0:
+                w, e = _direct_term(k, p, top, beta, log_beta, log_pois_m)
+            else:
+                w = right_w * (beta / k) * exp(p * log1p(1.0 / right))
+                e = right_e + 6.0 + four_p / right
+            # w r / (1 - r), r = w / right_w, once r < 1
+            right_tail = w * w / (right_w - w) if w < right_w else inf
+            right, right_w, right_e = k, w, e
+        else:
+            k = left - 1
+            if k == 0 or (k - top) % _REANCHOR == 0:
+                w, e = _direct_term(k, p, top, beta, log_beta, log_pois_m)
+            else:
+                w = left_w * (left / beta) * exp(-p * log1p(1.0 / k))
+                e = left_e + 6.0 + four_p / k
+            left_tail = (0.0 if k == k_low else
+                         w * w / (left_w - w) if w < left_w else inf)
+            left, left_w, left_e = k, w, e
+        off_err += w * e
         # Kahan step
         y = w - c
         t = s + y
         c = (t - s) - y
         s = t
         terms += 1
-        if go_right:
-            right_tail = _geometric_tail(w, right_w)
-            right, right_w = k, w
-        else:
-            left_tail = 0.0 if k == k_low else _geometric_tail(w, left_w)
-            left, left_w = k, w
 
     return EvalResult(
         log_value=log_peak + log_s,

@@ -201,6 +201,14 @@ class TestScaledMoments:
         with pytest.raises(DomainError, match="double range"):
             mc_sum_moment([big, big], 1, samples=10_000, seed=1)
 
+    def test_monte_carlo_scales_before_summing(self):
+        # drawn sums of 3.4e308 pass DBL_MAX; the moment, 1.1e154, does not
+        d = DiscreteDist(((1.7e308, 0.5), (1.0, 0.5)))
+        exact = exact_sum_moment([d, d], 0.5).value
+        mc = mc_sum_moment([d, d], 0.5, samples=10_000, seed=1)
+        assert math.isfinite(mc.value)
+        assert abs(mc.value - exact) <= 6 * mc.stderr
+
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_scaled_by_a_power_of_two_exactly(self, p):
         # atoms times 2**k, k p > 1024: the moments are those of the plain

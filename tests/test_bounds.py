@@ -141,6 +141,10 @@ class TestLowerH0:
         assert res.k_star == peak_index(3, 1e12)
         assert abs(res.k_star - 1e12) < 10
 
+    def test_largest_beta(self):
+        # a peak ~1e292 indices off made the bound e^-2.9e281, i.e. 0
+        assert 0.0 < lower_h0_search(BellQuery(1, 8e307)).root_bound <= 8e307
+
     def test_witness_is_argmax(self):
         for p, beta in [(10, 1), (2, 10), (77, 13)]:
             res = lower_h0_search(BellQuery(p, beta))
@@ -336,7 +340,7 @@ class TestBoundReport:
         assert rep.kminus is not None and rep.kminus.holds is True
 
     def test_one_series_call_when_it_fails(self, monkeypatch):
-        # beta = 1e9 is past the series budget; the K- flag rests on Jensen,
+        # beta = 1e10 is past the series budget; the K- flag rests on Jensen,
         # so the report does not run the series a second time for it
         calls = []
 
@@ -345,10 +349,10 @@ class TestBoundReport:
             return bell_dobinski(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "bell_dobinski", counted)
-        rep = bound_report(BellQuery(2, 1e9))
+        rep = bound_report(BellQuery(2, 1e10))
         assert len(calls) == 1
         assert len([e for e in rep.errors if e.startswith("series:")]) == 1
-        assert rep.lower == 1e9 and rep.lower_method == "Jensen"
+        assert rep.lower == 1e10 and rep.lower_method == "Jensen"
         assert math.isfinite(rep.upper) and rep.upper_method == "GOptimized"
         assert rep.kminus.holds is True
 

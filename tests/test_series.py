@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bellbound import (
     BellQuery,
+    BudgetError,
     DomainError,
     Regime,
     bell_dobinski,
@@ -15,7 +16,7 @@ from bellbound import (
     stirling_second_row,
     stirling_zeta,
 )
-from bellbound.series import log_term, peak_index
+from bellbound.series import _REANCHOR, log_term, peak_index
 
 
 class TestBellQuery:
@@ -128,6 +129,26 @@ class TestPeakIndex:
         # beta / (k + 1) underflows to 0 here; the ratio takes log(beta) apart
         assert peak_index(p, beta) == self.linear_scan(p, beta)
 
+    @staticmethod
+    def exact_peak(p, beta):
+        # smallest k >= 1 with t_{k+1} <= t_k, i.e. (k+1)^(p-1) beta <= k^p
+        b = Fraction(beta)
+        lo, hi = 0, math.ceil(b) + p + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (mid + 1) ** (p - 1) * b <= mid**p:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1e16, 1e20, 1e30, 1e100, 8e307])
+    def test_huge_beta_matches_exact(self, p, beta):
+        # log(beta) - log(k + 1) cancels to ulp(log beta) near the peak,
+        # which put it ~1e-16 * beta indices off
+        assert peak_index(p, beta) == self.exact_peak(p, beta)
+
     def test_series_at_smallest_beta(self):
         # B(2, beta) = beta^2 + beta
         res = bell_dobinski(BellQuery(2.0, 5e-324))
@@ -189,10 +210,30 @@ class TestCertificate:
         err = float(abs(Fraction(res.value) - exact) / exact)
         assert err <= total_certificate(res) + 2.3e-16
 
-    def test_beta_1e9_exceeds_budget(self):
-        from bellbound import BudgetError
+    def test_beta_1e9_within_budget(self):
+        beta = 1e9
+        res = bell_dobinski(BellQuery(2, beta))
+        exact = Fraction(beta) ** 2 + Fraction(beta)
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= total_certificate(res) + 2.3e-16
+
+    def test_beta_1e10_exceeds_budget(self):
         with pytest.raises(BudgetError):
-            bell_dobinski(BellQuery(2, 1e9))
+            bell_dobinski(BellQuery(2, 1e10))
+
+    @given(p=st.integers(0, 30),
+           beta=st.floats(-3.0, 6.0).map(lambda t: 10.0**t))
+    @settings(max_examples=100, deadline=None)
+    def test_ratio_steps_vs_exact_touchard(self, p, beta):
+        # terms built by the ratio from their neighbours, re-anchored every
+        # _REANCHOR steps per side, and the direct k <= 20 table
+        res = bell_dobinski(BellQuery(float(p), beta))
+        exact = bell_touchard_exact(p, Fraction(beta))
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= total_certificate(res) + 2.3e-16
+
+    def test_several_reanchors(self):
+        assert bell_dobinski(BellQuery(5, 1e5)).terms_used > 4 * _REANCHOR
 
 
 class TestTouchard:
