@@ -8,11 +8,8 @@ from .series import (
     bell_dobinski,
     bell_touchard_exact,
     log_mgf_bound,
-    log_stirling_zeta,
-    mgf_bound_at_lambda,
     p_max_limit,
     stirling_second_row,
-    stirling_zeta,
 )
 
 __all__ = [
@@ -25,11 +22,8 @@ __all__ = [
     "bell_dobinski",
     "bell_touchard_exact",
     "log_mgf_bound",
-    "log_stirling_zeta",
-    "mgf_bound_at_lambda",
     "p_max_limit",
     "stirling_second_row",
-    "stirling_zeta",
 ]
 
 __version__ = "0.1.0"

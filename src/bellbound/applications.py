@@ -49,9 +49,6 @@ class DiscreteDist:
                                 for v, pr in self.atoms), what)
         return _scale_back((value,), e, p, what)[0]
 
-    def scaled(self, c: float) -> "DiscreteDist":
-        return DiscreteDist(tuple((c * v, pr) for v, pr in self.atoms))
-
 
 @dataclass(frozen=True)
 class ExtremalProblem:
@@ -81,7 +78,6 @@ class SumMomentResult:
 
     value: float
     method: str  # "Enumeration" or "MonteCarlo"
-    n: int
     stderr: float | None = None
 
 
@@ -194,7 +190,7 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
     with np.errstate(over="ignore"):  # within rounding of 2**1024
         value = float(np.dot(probs, sums**p))
     value, = _scale_back((value,), e, p, "E(sum eta_j)^p")
-    return SumMomentResult(value=value, method="Enumeration", n=len(dists))
+    return SumMomentResult(value=value, method="Enumeration")
 
 
 def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
@@ -224,8 +220,7 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
         stderr = float(powered.std(ddof=1) / math.sqrt(samples))
     value, stderr = _scale_back((mean, stderr), e, p,
                                 "E(sum eta_j)^p or its standard error")
-    return SumMomentResult(value=value, method="MonteCarlo", n=len(dists),
-                           stderr=stderr)
+    return SumMomentResult(value=value, method="MonteCarlo", stderr=stderr)
 
 
 def random_family(rng) -> list[DiscreteDist]:
@@ -278,48 +273,6 @@ def check_family(dists: list[DiscreteDist], p: float) -> FamilyCheck:
     return FamilyCheck(exact=exact_sum_moment(dists, p).value,
                        rosenthal=rosenthal_bound(p, b, a),
                        schechtman=schechtman_extremal(ExtremalProblem(a=a, b=b, p=p)))
-
-
-@dataclass(frozen=True)
-class Violation:
-    trial: int
-    inequality: str  # "rosenthal" or "schechtman"
-    exact: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    trials: int
-    violations: tuple[Violation, ...]
-    max_rosenthal_ratio: float
-    max_schechtman_ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_inequalities(trials: int, seed: int) -> VerificationReport:
-    """Check the Rosenthal-type bound and the Schechtman extremal value on
-    random enumerable families, at p drawn from FAMILY_P."""
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(seed))
-    violations: list[Violation] = []
-    max_r = 0.0
-    max_s = 0.0
-    for trial in range(trials):
-        dists = random_family(rng)
-        p = FAMILY_P[int(rng.integers(0, len(FAMILY_P)))]
-        c = check_family(dists, p)
-        violations += [Violation(trial, name, c.exact, bound)
-                       for name, bound in c.violated()]
-        max_r = max(max_r, c.exact / c.rosenthal)
-        max_s = max(max_s, c.exact / c.schechtman)
-    return VerificationReport(trials=trials, violations=tuple(violations),
-                              max_rosenthal_ratio=max_r,
-                              max_schechtman_ratio=max_s)
 
 
 def parse_instance_line(line: str) -> DiscreteDist:

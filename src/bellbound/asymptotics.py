@@ -39,21 +39,20 @@ class LambertApprox:
 
     p: float
     log_value: float
-    log_series: float | None
     ratio_to_series: float | None
 
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
 
-
-def _with_series_ratio(p: float, log_value: float) -> LambertApprox:
-    log_series = ratio = None
+def _lambert_approx(p: float, power: float) -> LambertApprox:
+    """(1/sqrt(p)) * (p/W(p))^power * exp(p/W(p) - p - 1), measured against
+    the series where p <= p_max."""
+    if not (p >= 2):
+        raise DomainError(f"requires p >= 2, got {p!r}")
+    pw = p / lambert_w(p)
+    log_value = -0.5 * math.log(p) + power * math.log(pw) + (pw - p - 1.0)
+    ratio = None
     if p <= p_max_limit():
-        log_series = bell_dobinski(BellQuery(p, 1.0)).log_value
-        ratio = math.exp(log_value - log_series)
-    return LambertApprox(p=p, log_value=log_value, log_series=log_series,
-                         ratio_to_series=ratio)
+        ratio = math.exp(log_value - bell_dobinski(BellQuery(p, 1.0)).log_value)
+    return LambertApprox(p=p, log_value=log_value, ratio_to_series=ratio)
 
 
 def bell_lambert_approx(p: float) -> LambertApprox:
@@ -62,20 +61,10 @@ def bell_lambert_approx(p: float) -> LambertApprox:
     Kept as printed so its quality can be measured; see
     bell_lambert_approx_corrected for the classical exponent.
     """
-    if not (p >= 2):
-        raise DomainError(f"requires p >= 2, got {p!r}")
-    w = lambert_w(p)
-    pw = p / w
-    log_value = -0.5 * math.log(p) + math.log(pw) + (pw - p - 1.0)
-    return _with_series_ratio(p, log_value)
+    return _lambert_approx(p, 1.0)
 
 
 def bell_lambert_approx_corrected(p: float) -> LambertApprox:
     """Variant with the classical exponent: (1/sqrt(p)) * (p/W(p))^{p + 1/2}
     * exp(p/W(p) - p - 1)."""
-    if not (p >= 2):
-        raise DomainError(f"requires p >= 2, got {p!r}")
-    w = lambert_w(p)
-    pw = p / w
-    log_value = -0.5 * math.log(p) + (p + 0.5) * math.log(pw) + (pw - p - 1.0)
-    return _with_series_ratio(p, log_value)
+    return _lambert_approx(p, p + 0.5)

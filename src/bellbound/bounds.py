@@ -78,10 +78,6 @@ class H0Result:
     p: float
 
     @property
-    def bound_on_b(self) -> float:
-        return math.exp(self.log_bound_on_b)
-
-    @property
     def root_bound(self) -> float:
         """h0^{1/p}, the lower estimate on the B^{1/p} scale."""
         return math.exp(self.log_bound_on_b / self.p)
@@ -183,26 +179,23 @@ class KMinusBound:
 
     value: float
     constant: float
-    constant_label: str  # "formula" or "paper"
+    constant_label: str  # "formula"
     holds: bool
 
 
-def regime_lower_largebeta(q: BellQuery,
-                           use_paper_constant: bool = False) -> KMinusBound:
+def regime_lower_largebeta(q: BellQuery) -> KMinusBound:
     """K- * beta candidate lower bound for p >= 1, p/beta <= 2.
 
-    The default constant is the auditable formula value
-    (2 pi)^{-1/2} exp(-1/(2e) + 1/3) ~ 0.4632; the printed 0.6538 is kept
-    behind the flag.  Both are below 1, so Jensen proves the bound.
+    The constant is the auditable formula value
+    (2 pi)^{-1/2} exp(-1/(2e) + 1/3) ~ 0.4632, not the printed 0.6538
+    (K_MINUS_PAPER).  Both are below 1, so Jensen proves the bound.
     """
     if q.p < 1:
         raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio > 2.0:
         raise DomainError(f"regime p/beta <= 2 violated: p/beta = {q.ratio}")
-    const, label = ((K_MINUS_PAPER, "paper") if use_paper_constant
-                    else (K_MINUS_FORMULA, "formula"))
-    return KMinusBound(value=const * q.beta, constant=const,
-                       constant_label=label, holds=const <= 1.0)
+    return KMinusBound(value=K_MINUS_FORMULA * q.beta, constant=K_MINUS_FORMULA,
+                       constant_label="formula", holds=K_MINUS_FORMULA <= 1.0)
 
 
 @cache

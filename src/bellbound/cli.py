@@ -11,7 +11,6 @@ import decimal
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import applications, asymptotics, bounds, verify
 from .errors import BellboundError, BudgetError, DomainError
@@ -36,39 +35,6 @@ def fmt(x) -> str:
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    p_start: float
-    p_stop: float
-    p_count: int
-    p_log: bool
-    beta_start: float
-    beta_stop: float
-    beta_count: int
-    beta_log: bool
-    tol: float
-
-    def __post_init__(self):
-        for name, start, stop, count, log in (
-            ("p", self.p_start, self.p_stop, self.p_count, self.p_log),
-            ("beta", self.beta_start, self.beta_stop, self.beta_count,
-             self.beta_log),
-        ):
-            if count < 1:
-                raise DomainError(f"{name}-count must be >= 1, got {count}")
-            if start > stop:
-                raise DomainError(f"{name} grid start {start} > stop {stop}")
-            if log and start <= 0:
-                raise DomainError(f"log {name} grid requires start > 0")
-
-    def p_values(self):
-        return verify.axis(self.p_start, self.p_stop, self.p_count, self.p_log)
-
-    def beta_values(self):
-        return verify.axis(self.beta_start, self.beta_stop, self.beta_count,
-                           self.beta_log)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -140,14 +106,17 @@ def _scan_row(p: float, beta: float, tol: float) -> dict:
 
 
 def cmd_scan(args) -> int:
-    spec = ScanSpec(
-        p_start=args.p_start, p_stop=args.p_stop, p_count=args.p_count,
-        p_log=args.p_log, beta_start=args.beta_start,
-        beta_stop=args.beta_stop, beta_count=args.beta_count,
-        beta_log=args.beta_log, tol=args.tol,
-    )
-    rows = [_scan_row(p, b, spec.tol)
-            for p in spec.p_values() for b in spec.beta_values()]
+    axes = (("p", args.p_start, args.p_stop, args.p_count, args.p_log),
+            ("beta", args.beta_start, args.beta_stop, args.beta_count, args.beta_log))
+    for name, start, stop, count, log in axes:
+        if count < 1:
+            raise DomainError(f"{name}-count must be >= 1, got {count}")
+        if start > stop:
+            raise DomainError(f"{name} grid start {start} > stop {stop}")
+        if log and start <= 0:
+            raise DomainError(f"log {name} grid requires start > 0")
+    p_values, beta_values = (verify.axis(*axis[1:]) for axis in axes)
+    rows = [_scan_row(p, b, args.tol) for p in p_values for b in beta_values]
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:

@@ -264,7 +264,8 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     more, where log_value's own ulp approaches tol) truncation is pushed
     to tol/2 and the returned certificate honestly exceeds tol.  p above
     p_max_limit() is refused, and a sum not certified within
-    DEFAULT_TERM_BUDGET terms raises BudgetError.
+    DEFAULT_TERM_BUDGET terms raises BudgetError: before summing when the
+    tail bounds half the budget away from the peak show it cannot certify.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
@@ -275,6 +276,19 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
     m = peak_index(p, beta)
+    # The sum stops only once each side's tail bound t_k r / (1 - r), which
+    # shrinks as k leaves the peak, is at most tol * B <= tol * U, U the
+    # Chernoff bound on B (Jensen's below p = 1).  Where both exceed
+    # e * tol * U (e for rounding) half the budget away, refuse at once.
+    budget, half = DEFAULT_TERM_BUDGET, DEFAULT_TERM_BUDGET // 2
+    if m > half + 1:  # past k = 1, where the left tail is 0
+        log_u = p * (log_mgf_bound(q, lambert_w(q.ratio)) if p >= 1 else log_beta)
+        # log(1/r) of the steps to t_{m+half} and t_{m-half}, r < 1
+        steps = ((m + half, -_log_term_ratio(m + half - 1, p, beta, log_beta)),
+                 (m - half, _log_term_ratio(m - half, p, beta, log_beta)))
+        if all(x <= 0.0 or log_term(k, p, beta) - math.log(math.expm1(x))
+               > math.log(tol) + log_u + 1.0 for k, x in steps):
+            budget = 0
     # The sum is anchored at its largest term: for p = 0 that is
     # t_0 = e^{-beta} once beta <= 1, outside peak_index's range k >= 1.
     top = 0 if p == 0 and beta <= 1 else m
@@ -312,7 +326,7 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
                                   + _U * (2.0 * log_s + abs(log_peak + log_s)))
             if tails <= (tol - min(rounding, 0.5 * tol)) * s:
                 break
-        if terms >= DEFAULT_TERM_BUDGET:
+        if terms >= budget:
             raise BudgetError(
                 f"series for (p={p}, beta={beta}) did not certify tol={tol} "
                 f"within {DEFAULT_TERM_BUDGET} terms")
@@ -381,7 +395,10 @@ def bell_touchard_exact(p: int, beta):
     b = float(beta)
     if not (math.isfinite(b) and b > 0):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    return math.fsum(s * b**j for j, s in enumerate(row))
+    try:  # b**p raises wherever a term or the sum overflows
+        return math.fsum(s * b**j for j, s in enumerate(row))
+    except OverflowError:
+        raise DomainError(f"B({p}, {beta!r}) exceeds the double range") from None
 
 
 def lambert_w(x: float) -> float:
@@ -410,28 +427,19 @@ def lambert_w(x: float) -> float:
 def log_mgf_bound(q: BellQuery, lam: float) -> float:
     """log of the Chernoff-type upper bound on B^{1/p}:
     (p / (e * lam)) * exp(beta * (e^lam - 1) / p)."""
-    if not (lam > 0):
-        raise DomainError(f"lambda must be > 0, got {lam!r}")
+    if not (0 < lam < math.inf):
+        raise DomainError(f"lambda must be finite and > 0, got {lam!r}")
     if q.p < 1:
         raise DomainError(f"MGF bound requires p >= 1, got p={q.p}")
-    return math.log(q.p) - 1.0 - math.log(lam) + q.beta * math.expm1(lam) / q.p
-
-
-def mgf_bound_at_lambda(q: BellQuery, lam: float) -> float:
-    """Chernoff-type upper bound on B^{1/p}(p, beta), valid for every lam > 0."""
     try:
-        return math.exp(log_mgf_bound(q, lam))
+        growth = q.beta * math.expm1(lam) / q.p
     except OverflowError:
-        return math.inf
-
-
-def log_stirling_zeta(x: float) -> float:
-    """log of sqrt(2 pi x) (x/e)^x e^{1/(12x)}, a majorant of x! for x >= 1."""
-    if not (x >= 1):
-        raise DomainError(f"stirling_zeta requires x >= 1, got {x!r}")
-    return 0.5 * math.log(2.0 * math.pi * x) + x * (math.log(x) - 1.0) + 1.0 / (12.0 * x)
-
-
-def stirling_zeta(x: float) -> float:
-    """Stirling factorial majorant: k! <= zeta(k) for every integer k >= 1."""
-    return math.exp(log_stirling_zeta(x))
+        growth = math.inf
+    if growth == math.inf:  # beta (e^lam - 1) overflows; its log need not
+        try:
+            growth = math.exp(lam + math.log1p(-math.exp(-lam))
+                              + math.log(q.beta) - math.log(q.p))
+        except OverflowError:
+            raise DomainError(f"log of the MGF bound exceeds the double range "
+                              f"at p={q.p}, beta={q.beta}") from None
+    return math.log(q.p) - 1.0 - math.log(lam) + growth

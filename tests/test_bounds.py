@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellbound import BellQuery, DomainError, bell_dobinski, mgf_bound_at_lambda
+from bellbound import BellQuery, DomainError, bell_dobinski, log_mgf_bound
 from bellbound import bounds, verify
 from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
@@ -45,7 +45,7 @@ class TestUpperGOptimized:
             q = BellQuery(p, beta)
             lam0 = math.log(p / beta) - math.log(math.log(p / beta))
             g, _ = upper_g_optimized(q)
-            assert g <= mgf_bound_at_lambda(q, lam0) * (1 + 1e-9)
+            assert g <= math.exp(log_mgf_bound(q, lam0)) * (1 + 1e-9)
 
     def test_sandwich_10_1(self):
         g, _ = upper_g_optimized(BellQuery(10, 1))
@@ -104,7 +104,7 @@ class TestUpperClosedForm:
             q = BellQuery(p, beta)
             lam0 = math.log(p / beta) - math.log(math.log(p / beta))
             assert upper_closed_form_largep(q) == pytest.approx(
-                mgf_bound_at_lambda(q, lam0), rel=1e-12)
+                math.exp(log_mgf_bound(q, lam0)), rel=1e-12)
 
     def test_ratio_at_100(self):
         val = upper_closed_form_largep(BellQuery(100, 1))
@@ -121,13 +121,14 @@ class TestLowerH0:
     def test_point_10_1(self):
         res = lower_h0_search(BellQuery(10, 1))
         assert res.k_star == 6
-        assert res.bound_on_b == pytest.approx(
+        assert math.exp(res.log_bound_on_b) == pytest.approx(
             math.exp(-1) * 6**10 / math.factorial(6), rel=1e-12)
 
     def test_point_1_1(self):
         res = lower_h0_search(BellQuery(1, 1))
         assert res.k_star == 1
-        assert res.bound_on_b == pytest.approx(math.exp(-1), rel=1e-12)
+        assert math.exp(res.log_bound_on_b) == pytest.approx(math.exp(-1),
+                                                             rel=1e-12)
 
     def test_below_series(self):
         for p, beta in [(10, 1), (2, 10), (33, 0.4)]:
@@ -163,7 +164,7 @@ class TestLowerHContinuous:
 
     def test_near_h0(self):
         val, _ = lower_h_continuous(BellQuery(10, 1))
-        h0 = lower_h0_search(BellQuery(10, 1)).bound_on_b
+        h0 = math.exp(lower_h0_search(BellQuery(10, 1)).log_bound_on_b)
         assert 0.9 * h0 <= val**10 <= 1.2 * h0
         assert val**10 <= 115975.0
 
@@ -249,7 +250,7 @@ class TestRegimeLargeBeta:
         # At p/beta = 2 the MGF bound at lambda = 2 collapses to K+ * beta.
         for p, beta in [(2, 1), (4, 2), (20, 10)]:
             q = BellQuery(p, beta)
-            assert mgf_bound_at_lambda(q, 2.0) == pytest.approx(
+            assert math.exp(log_mgf_bound(q, 2.0)) == pytest.approx(
                 regime_upper_largebeta(q), rel=1e-12)
 
     def test_upper_regime_error(self):
@@ -269,20 +270,14 @@ class TestRegimeLargeBeta:
             raise AssertionError("series called")
 
         monkeypatch.setattr(bounds, "bell_dobinski", refuse)
-        for paper in (False, True):
-            km = regime_lower_largebeta(BellQuery(2, 1e12), paper)
-            assert km.holds is True and km.value <= 1e12
+        km = regime_lower_largebeta(BellQuery(2, 1e12))
+        assert km.holds is True and km.value <= 1e12
 
     def test_kminus_default_and_flag(self):
         km = regime_lower_largebeta(BellQuery(2, 10))
         assert km.constant_label == "formula"
         assert km.value == pytest.approx(K_MINUS_FORMULA * 10, rel=1e-12)
         assert km.holds is True
-        km_paper = regime_lower_largebeta(BellQuery(2, 10),
-                                          use_paper_constant=True)
-        assert km_paper.constant_label == "paper"
-        assert km_paper.value == pytest.approx(6.538, rel=1e-12)
-        assert km_paper.holds is True
 
 
 class TestRoughTriangle:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,11 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellbound import BellQuery, bell_dobinski, bounds, verify
-from bellbound.cli import ScanSpec, main
+from bellbound.cli import main
 
 
 def run_main(argv, capsys):
@@ -212,19 +216,13 @@ class TestAxis:
     """verify.axis, behind the scan axes and the acceptance grid, against
     the numpy functions it stands in for."""
 
-    @staticmethod
-    def spec(start, stop, count, log):
-        return ScanSpec(p_start=start, p_stop=stop, p_count=count, p_log=log,
-                        beta_start=1.0, beta_stop=1.0, beta_count=1,
-                        beta_log=False, tol=1e-12)
-
     def test_linear_equals_linspace(self):
         rng = np.random.default_rng(11)
         for _ in range(2000):
             start = float(rng.uniform(-1e3, 1e3))
             stop = start + float(10.0 ** rng.uniform(-8, 6))
             count = int(rng.integers(1, 80))
-            got = self.spec(start, stop, count, log=False).p_values()
+            got = verify.axis(start, stop, count)
             assert got == np.linspace(start, stop, count).tolist()
 
     def test_log_within_one_ulp_of_logspace(self):
@@ -232,7 +230,7 @@ class TestAxis:
         for _ in range(2000):
             start, stop = sorted(10.0 ** rng.uniform(-300, 300, 2))
             count = int(rng.integers(1, 80))
-            got = self.spec(start, stop, count, log=True).p_values()
+            got = verify.axis(start, stop, count, log=True)
             want = np.logspace(math.log10(start), math.log10(stop), count)
             if count == 1:
                 want = [start]
@@ -348,6 +346,8 @@ class TestVerifyCommand:
         "x:1\n",
         "0:0.5,1:0.5\n1.0\n",
         "1e100:0.5,1.0:0.5\n1e100:0.5,1.0:0.5\n",  # 4th moments past DBL_MAX
+        "1.0:0.7,2.0:0.7\n",  # probabilities do not sum to 1
+        "-1.0:0.5,1.0:0.5\n",  # negative value
     ])
     def test_instance_file_input_error_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "family.txt"
@@ -359,6 +359,45 @@ class TestVerifyCommand:
         path = str(tmp_path / "absent.txt")
         assert main(["verify", "--instances", path]) == 2
         assert path in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """The documented exit codes, as properties: `scan` exits 0 when some
+    row succeeds and 2 when every row errors; `verify` exits 0 when every
+    check passes and 4 when one fails (TestVerifyCommand has the exit 2 on
+    bad `--instances` input)."""
+
+    @staticmethod
+    def quiet_main(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, out.getvalue()
+
+    @given(p_start=st.floats(0.1, 3.0), span=st.floats(0.0, 2.0),
+           count=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_scan(self, p_start, span, count):
+        # bound_report refuses p < 1, so exactly those rows carry an error
+        code, out = self.quiet_main(
+            ["scan", "--p-start", repr(p_start), "--p-stop",
+             repr(p_start + span), "--p-count", str(count), "--beta-start",
+             "1", "--beta-stop", "1", "--format", "json"])
+        ok = [p >= 1 for p in verify.axis(p_start, p_start + span, count)]
+        assert [row["error"] is None for row in json.loads(out)] == ok
+        assert code == (0 if any(ok) else 2)
+
+    @given(outcomes=st.lists(st.booleans(), min_size=1, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_verify_suite(self, outcomes):
+        checks = [verify.CheckResult(f"check-{i}", passed, "")
+                  for i, passed in enumerate(outcomes)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verify.SUITES, "oracles", lambda trials, seed: checks)
+            code, out = self.quiet_main(["verify", "--suite", "oracles"])
+        assert code == (0 if all(outcomes) else 4)
+        assert out.endswith(
+            f"\n{sum(outcomes)}/{len(outcomes)} checks passed\n")
 
 
 class TestEntryPoint:

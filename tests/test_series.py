@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,10 @@ from bellbound import (
     Regime,
     bell_dobinski,
     bell_touchard_exact,
-    mgf_bound_at_lambda,
+    log_mgf_bound,
     stirling_second_row,
-    stirling_zeta,
 )
+from bellbound import series
 from bellbound.series import _REANCHOR, log_term, peak_index
 
 
@@ -221,6 +223,33 @@ class TestCertificate:
         with pytest.raises(BudgetError):
             bell_dobinski(BellQuery(2, 1e10))
 
+    @pytest.mark.parametrize("beta", [1e10, 1e16, 8e307, sys.float_info.max])
+    def test_refused_before_summing(self, beta, monkeypatch):
+        # the tail bounds half the budget from the peak show that the
+        # budget cannot suffice, so no term is summed
+        def refuse(*args):
+            raise AssertionError("a term was summed")
+
+        # the summation builds a term directly within its first 32 steps
+        monkeypatch.setattr(series, "_direct_term", refuse)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="within 500000 terms"):
+            bell_dobinski(BellQuery(2, beta))
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    def test_refusal_up_front_is_sound(self, p, monkeypatch):
+        # just past the smallest beta refused up front (~1.3142e9, for the
+        # Chernoff and the Jensen U alike), the sum itself, with the check
+        # disabled (log_term is not used by the summation loop), also runs
+        # out of budget
+        beta = 1.3142e9
+        with pytest.raises(BudgetError):
+            bell_dobinski(BellQuery(p, beta))
+        monkeypatch.setattr(series, "log_term", lambda *args: -math.inf)
+        with pytest.raises(BudgetError):
+            bell_dobinski(BellQuery(p, beta))
+
     @given(p=st.integers(0, 30),
            beta=st.floats(-3.0, 6.0).map(lambda t: 10.0**t))
     @settings(max_examples=100, deadline=None)
@@ -253,6 +282,14 @@ class TestTouchard:
         with pytest.raises(BudgetError):
             bell_touchard_exact(31, 1)
 
+    def test_float_past_double_range(self):
+        # beta**30 overflows; the exact paths have no range to leave
+        with pytest.raises(DomainError, match="double range"):
+            bell_touchard_exact(30, 1e11)
+        assert bell_touchard_exact(30, 10**11) > 10**330
+        assert bell_touchard_exact(30, Fraction(10**11)) > 10**330
+        assert math.isfinite(bell_touchard_exact(30, 1e10))
+
     @given(p=st.integers(0, 20), beta=st.sampled_from([0.5, 1.0, 2.0, 10.0]))
     @settings(max_examples=60, deadline=None)
     def test_oracle_equivalence(self, p, beta):
@@ -264,19 +301,44 @@ class TestTouchard:
 class TestMgfBound:
     def test_closed_form_point(self):
         lam0 = math.log(10) - math.log(math.log(10))
-        val = mgf_bound_at_lambda(BellQuery(10, 1), lam0)
+        val = math.exp(log_mgf_bound(BellQuery(10, 1), lam0))
         assert val == pytest.approx(3.4994375392405255, rel=1e-12)
 
     def test_simple_point(self):
-        val = mgf_bound_at_lambda(BellQuery(2, 1), 1.0)
+        val = math.exp(log_mgf_bound(BellQuery(2, 1), 1.0))
         assert val == pytest.approx((2 / math.e) * math.exp((math.e - 1) / 2),
                                     rel=1e-14)
         # must dominate B(2,1)^{1/2} = sqrt(2)
         assert val >= math.sqrt(2)
 
     def test_rejects_bad_lambda(self):
-        with pytest.raises(DomainError):
-            mgf_bound_at_lambda(BellQuery(2, 1), 0.0)
+        for lam in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                math.exp(log_mgf_bound(BellQuery(2, 1), lam))
+
+    @pytest.mark.parametrize("p, beta, lam", [
+        (2, 1, 710.0),          # e^lam - 1 overflows
+        (3, 1e-300, 1400.0),
+        (2, 1.5e308, 1.0),      # beta (e^lam - 1) overflows
+        (1e300, 1e300, 700.0),
+    ])
+    def test_log_past_double_range(self, p, beta, lam):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = (mpmath.log(p) - 1 - mpmath.log(lam)
+                    + mpmath.mpf(beta) * mpmath.expm1(lam) / p)
+            got = log_mgf_bound(BellQuery(p, beta), lam)
+            # exp of an argument near 700, whose ulp is 1.1e-13
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_bits_kept_where_expm1_fits(self):
+        lam = math.log(sys.float_info.max)  # the largest expm1 accepts
+        assert log_mgf_bound(BellQuery(2, 1), lam) == (
+            math.log(2) - 1.0 - math.log(lam) + math.expm1(lam) / 2)
+
+    def test_refuses_what_its_log_cannot_hold(self):
+        with pytest.raises(DomainError, match="double range"):
+            log_mgf_bound(BellQuery(2, 1), 720.0)
 
     @given(
         p=st.floats(1.0, 60.0),
@@ -287,21 +349,4 @@ class TestMgfBound:
     def test_chernoff_domination(self, p, beta, lam):
         q = BellQuery(p, beta)
         root = bell_dobinski(q).root(p)
-        assert mgf_bound_at_lambda(q, lam) >= root * (1 - 1e-11)
-
-
-class TestStirlingZeta:
-    def test_majorant(self):
-        for k in range(1, 31):
-            assert stirling_zeta(k) >= math.factorial(k)
-
-    def test_k1(self):
-        assert stirling_zeta(1) == pytest.approx(
-            math.sqrt(2 * math.pi) / math.e * math.exp(1 / 12), rel=1e-14)
-
-    def test_tightness_at_10(self):
-        assert 1.0 < stirling_zeta(10) / math.factorial(10) < 1.001
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            stirling_zeta(0.5)
+        assert math.exp(log_mgf_bound(q, lam)) >= root * (1 - 1e-11)
