@@ -7,6 +7,7 @@ sequences with prescribed moment sums, and the brute-force oracles
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,6 +20,11 @@ ENUM_BUDGET = 1_000_000
 MAX_ATOMS_FOR_ENUM = 8
 REL_SLACK = 1e-9       # relative slack of every verified inequality
 FAMILY_P = (2.0, 3.0, 4.0)
+# The largest integer p at which exact_sum_moment convolves: every C(56, i)
+# is an exact double, C(57, 28) is not.
+CONVOLUTION_MAX_P = 56
+_BINOMIALS = tuple(tuple(float(math.comb(k, i)) for i in range(k + 1))
+                   for k in range(CONVOLUTION_MAX_P + 1))
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class SumMomentResult:
     """E(sum eta_j)^p computed by an oracle."""
 
     value: float
-    method: str  # "Enumeration" or "MonteCarlo"
+    method: str  # "Convolution", "Enumeration" or "MonteCarlo"
     stderr: float | None = None
 
 
@@ -149,10 +155,16 @@ def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float) -> float:
         raise DomainError(f"sum_p_moments must be positive finite, got {sum_p_moments}")
     if not (sum_means > 0 and math.isfinite(sum_means)):
         raise DomainError(f"sum_means must be positive finite, got {sum_means}")
-    log_b = bell_dobinski(BellQuery(p, 1.0)).log_value
     return _exp_in_range(
-        log_b + max(math.log(sum_p_moments), p * math.log(sum_means)),
+        _log_bell_at_one(float(p))
+        + max(math.log(sum_p_moments), p * math.log(sum_means)),
         "rosenthal_bound")
+
+
+@functools.lru_cache(maxsize=16)
+def _log_bell_at_one(p: float) -> float:
+    """log B(p, 1): the verifiers ask for the same few p on every family."""
+    return bell_dobinski(BellQuery(p, 1.0)).log_value
 
 
 def schechtman_extremal(prob: ExtremalProblem) -> float:
@@ -165,13 +177,56 @@ def schechtman_extremal(prob: ExtremalProblem) -> float:
 
 
 def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
-    """Enumerate all outcome tuples of the independent summands and
-    accumulate prob * (sum of values)^p exactly (to float precision),
-    scaled by a power of two where a power would overflow."""
-    import numpy as np
+    """E(sum eta_j)^p of independent summands, to float precision, scaled
+    by a power of two where a power would overflow.
 
+    At integer p <= CONVOLUTION_MAX_P by moment convolution,
+    E(X + Y)^k = sum_i C(k, i) E X^i E Y^(k-i), whose terms are all
+    non-negative: O(n p^2).  Otherwise by enumerating all outcome tuples
+    and accumulating prob * (sum of values)^p."""
     if p <= 0:
         raise DomainError(f"p must be > 0, got {p}")
+    e = _scale_exponent([max(d.atoms)[0] for d in dists], p)
+    if p <= CONVOLUTION_MAX_P and p == int(p):
+        value = _convolved_moment(dists, int(p), e)
+        method = "Convolution"
+    else:
+        value = _enumerated_moment(dists, p, e)
+        method = "Enumeration"
+    value, = _scale_back((value,), e, p, "E(sum eta_j)^p")
+    return SumMomentResult(value=value, method=method)
+
+
+def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:
+    """E(sum eta_j)^p on the atoms divided by 2**e, by folding in the raw
+    moments E X^i, i = 0..p, of one summand at a time.
+
+    No partial product overflows: on the scaled atoms let S be the sum of
+    the tops, so S**p < 2**1024 (up to rounding) by the choice of e.  A
+    partial sum's k-th moment is at most its top sum to the k, hence at most
+    max(1, S**p); so is each product E X^i E Y^(k-i), by the same bound on
+    X + Y, and so is C(k, i) times it, a non-negative term of E(X + Y)^k.
+    The binomial multiplies the product last, so that no intermediate is
+    larger than the term it builds."""
+    what = "E(sum eta_j)^p"
+    acc = None
+    for j, d in enumerate(dists):
+        scaled = [(math.ldexp(v, -e), pr) for v, pr in d.atoms]
+        moments = [_fsum_in_range([v**i * pr for v, pr in scaled], what)
+                   for i in range(p + 1)]
+        if acc is None:
+            acc = moments
+            continue
+        orders = (p,) if j == len(dists) - 1 else range(p + 1)
+        acc = [_fsum_in_range([c * (acc[i] * moments[k - i])
+                               for i, c in enumerate(_BINOMIALS[k])], what)
+               for k in orders]
+    return acc[-1]
+
+
+def _enumerated_moment(dists: list[DiscreteDist], p: float, e: int) -> float:
+    """E(sum eta_j)^p on the atoms divided by 2**e, over all outcome
+    tuples; BudgetError past MAX_ATOMS_FOR_ENUM or ENUM_BUDGET."""
     states = 1
     for d in dists:
         if len(d.atoms) > MAX_ATOMS_FOR_ENUM:
@@ -180,7 +235,8 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
         states *= len(d.atoms)
         if states > ENUM_BUDGET:
             raise BudgetError(f"enumeration exceeds {ENUM_BUDGET} states")
-    e = _scale_exponent([max(d.atoms)[0] for d in dists], p)
+    import numpy as np
+
     sums = np.zeros(1)
     probs = np.ones(1)
     for d in dists:
@@ -188,9 +244,7 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
         sums = np.add.outer(sums, np.ldexp(values, -e)).ravel()
         probs = np.multiply.outer(probs, weights).ravel()
     with np.errstate(over="ignore"):  # within rounding of 2**1024
-        value = float(np.dot(probs, sums**p))
-    value, = _scale_back((value,), e, p, "E(sum eta_j)^p")
-    return SumMomentResult(value=value, method="Enumeration")
+        return float(np.dot(probs, sums**p))
 
 
 def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,

@@ -204,13 +204,17 @@ def peak_index(p: float, beta: float) -> int:
     t_{k+1} <= t_k, so the earlier index of a tied pair.
 
     Bisects on the strictly decreasing log term ratio, whose sign changes
-    by k = beta + p + 1: O(log(beta + p)) evaluations.  A ratio of exactly
-    0 is a tie (p = 0 at integer beta, say); below 2**52 it is settled on
-    log_term, so that the peak is the larger of the pair as log_term ranks
-    them.  Above, neighbouring log_terms agree to within their rounding.
+    between k = floor(beta) - 1 and k = beta + p + 1: O(log(p + 3))
+    evaluations.  For k + 1 < beta the ratio is > 0, and is computed so:
+    p * log1p(1/k) >= 0 plus log(beta) - log(k + 1) > 0, or -log1p(d / beta)
+    > 0 with an exact d = k + 1 - beta < 0 (from 2**52, the exact lead term
+    p/k - d/beta).  A ratio of exactly 0 is a tie (p = 0 at integer beta,
+    say); below 2**52 it is settled on log_term, so that the peak is the
+    larger of the pair as log_term ranks them.  Above, neighbouring
+    log_terms agree to within their rounding.
     """
     log_beta = math.log(beta)
-    lo, hi = 1, math.ceil(beta) + math.ceil(p) + 1
+    lo, hi = max(1, math.floor(beta) - 1), math.ceil(beta) + math.ceil(p) + 1
     if _log_term_ratio(lo, p, beta, log_beta) <= 0.0:
         hi = lo
     while hi - lo > 1:  # ratio(lo) > 0 >= ratio(hi)

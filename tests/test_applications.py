@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbound import BudgetError, DomainError
+from bellbound import applications
 from bellbound.applications import (
     DiscreteDist,
     ExtremalProblem,
@@ -27,6 +29,29 @@ COIN = DiscreteDist(((0.0, 0.5), (1.0, 0.5)))
 def scale_values(d: DiscreteDist, c: float) -> DiscreteDist:
     """d with every value multiplied by c."""
     return DiscreteDist(tuple((c * v, pr) for v, pr in d.atoms))
+
+
+def fraction_moment(dists: list[DiscreteDist], p: int) -> Fraction:
+    """E(sum eta_j)^p in exact rational arithmetic, over all outcome tuples."""
+    total = Fraction(0)
+    for outcome in itertools.product(*(d.atoms for d in dists)):
+        prob = math.prod(Fraction(pr) for _, pr in outcome)
+        total += prob * sum(Fraction(v) for v, _ in outcome) ** p
+    return total
+
+
+def normalised(atoms: list[tuple[float, float]]) -> DiscreteDist:
+    """The distribution with these values and weights scaled to sum to 1."""
+    total = math.fsum(w for _, w in atoms)
+    return DiscreteDist(tuple((v, w / total) for v, w in atoms))
+
+
+small_dists = st.lists(
+    st.tuples(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+              st.floats(0.01, 1.0)),
+    min_size=1, max_size=4).map(normalised)
+
+
 # Finite atoms whose fourth moment, and E(X1 + X2)^4, exceed the double range.
 HUGE = DiscreteDist(((1e100, 0.5), (1.0, 0.5)))
 
@@ -79,6 +104,20 @@ class TestRosenthal:
         with pytest.raises(DomainError, match="double range"):
             rosenthal_bound(300, 1, 1)
 
+    def test_bell_number_is_cached(self, monkeypatch):
+        applications._log_bell_at_one.cache_clear()
+        calls = []
+        series_sum = applications.bell_dobinski
+
+        def counted(q):
+            calls.append(q)
+            return series_sum(q)
+
+        monkeypatch.setattr(applications, "bell_dobinski", counted)
+        assert rosenthal_bound(3, 10, 1) == pytest.approx(50.0, rel=1e-11)
+        assert rosenthal_bound(3.0, 1, 1) == pytest.approx(5.0, rel=1e-11)
+        assert len(calls) == 1
+
 
 class TestSchechtman:
     def test_p2_examples(self):
@@ -127,7 +166,7 @@ class TestExactSumMoment:
     def test_two_coins(self):
         res = exact_sum_moment([COIN, COIN], 2)
         assert res.value == pytest.approx(1.5, rel=1e-14)
-        assert res.method == "Enumeration"
+        assert res.method == "Convolution"
         assert res.stderr is None
 
     def test_single_dist_mean(self):
@@ -141,9 +180,11 @@ class TestExactSumMoment:
             10.0**3, rel=1e-13)
 
     def test_budget(self):
+        # 8**8 states; integer p <= 56 convolves and needs no enumeration
         d = DiscreteDist(tuple((float(i), 0.125) for i in range(8)))
-        with pytest.raises(BudgetError):
-            exact_sum_moment([d] * 8, 2)
+        for p in (2.5, 57):
+            with pytest.raises(BudgetError):
+                exact_sum_moment([d] * 8, p)
 
     def test_past_double_range(self):
         # (2e100)^3 / 4 + (1e100)^3 / 2, the 2^3 / 4 term lost to rounding
@@ -155,6 +196,24 @@ class TestExactSumMoment:
         big = DiscreteDist(((1.7e308, 1.0),))
         with pytest.raises(DomainError, match="double range"):
             exact_sum_moment([big, big], 1)
+
+    @given(dists=st.lists(small_dists, min_size=1, max_size=6),
+           p=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_convolution_matches_exact_enumeration(self, dists, p):
+        res = exact_sum_moment(dists, p)
+        assert res.method == "Convolution"
+        assert res.value == pytest.approx(float(fraction_moment(dists, p)),
+                                          rel=1e-14)
+
+    def test_convolution_boundary(self):
+        # every C(56, i) is an exact double, C(57, 28) is not
+        dists = [COIN, DiscreteDist(((0.5, 0.25), (3.0, 0.75)))]
+        for p, method in ((56, "Convolution"), (57, "Enumeration")):
+            res = exact_sum_moment(dists, p)
+            assert res.method == method
+            assert res.value == pytest.approx(
+                float(fraction_moment(dists, p)), rel=1e-14)
 
     @given(c=st.floats(0.1, 10), p=st.sampled_from([2.0, 3.0]))
     @settings(max_examples=50, deadline=None)
@@ -201,8 +260,9 @@ class TestScaledMoments:
         assert abs(mc.value - 5e159) <= 4 * mc.stderr
 
     def test_monte_carlo_sums_past_double_range(self):
-        # drawn sums of 3.4e308 are inf; inf - inf in the deviations must
-        # not escape as a RuntimeWarning
+        # the atoms are scaled by 2**-520 before they are drawn, so the sums
+        # stay finite; the mean, 3.4e308 once scaled back, is refused by
+        # _scale_back
         big = DiscreteDist(((1.7e308, 1.0),))
         with pytest.raises(DomainError, match="double range"):
             mc_sum_moment([big, big], 1, samples=10_000, seed=1)

@@ -248,7 +248,8 @@ class TestAxis:
 
 
 class TestNumpyImport:
-    """Only `verify` loads numpy; the scalar commands start without it."""
+    """Only the `verify` suites load numpy; the scalar commands and
+    `verify --instances` start without it."""
 
     SCRIPT = (
         "import contextlib, io, json, sys\n"
@@ -287,6 +288,18 @@ class TestNumpyImport:
             [["verify", "--instances", str(path)]])
         assert code == 0
         assert out.endswith("3/3 checks passed\n")
+
+    def test_verify_instances_leaves_numpy_unloaded(self, tmp_path):
+        # integer p convolves, with no cap on atoms; only the enumeration,
+        # Monte Carlo and the suites load numpy
+        path = tmp_path / "family.txt"
+        atoms = ",".join(f"{v}:0.1" for v in range(10))
+        path.write_text(f"{atoms}\n0:0.9,10:0.1\n")
+        [_, (_, code, numpy_loaded, out)] = self.run_fresh(
+            [["verify", "--instances", str(path)]])
+        assert code == 0
+        assert out.endswith("3/3 checks passed\n")
+        assert not numpy_loaded
 
 
 class TestExtremal:

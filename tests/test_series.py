@@ -151,6 +151,21 @@ class TestPeakIndex:
         # which put it ~1e-16 * beta indices off
         assert peak_index(p, beta) == self.exact_peak(p, beta)
 
+    @pytest.mark.parametrize("p, beta", [(2, 8e307), (10, 1e4)])
+    def test_bracket_starts_below_beta(self, monkeypatch, p, beta):
+        # the ratio is > 0 below k + 1 = beta, so the bisection spans ~p + 3
+        # indices, not beta + p
+        calls = []
+        ratio = series._log_term_ratio
+
+        def counted(*args):
+            calls.append(args[0])
+            return ratio(*args)
+
+        monkeypatch.setattr(series, "_log_term_ratio", counted)
+        assert peak_index(p, beta) == self.exact_peak(p, beta)
+        assert len(calls) <= 2 * math.log2(p + 4) + 4
+
     def test_series_at_smallest_beta(self):
         # B(2, beta) = beta^2 + beta
         res = bell_dobinski(BellQuery(2.0, 5e-324))
