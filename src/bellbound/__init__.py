@@ -8,7 +8,6 @@ from .series import (
     bell_dobinski,
     bell_touchard_exact,
     log_mgf_bound,
-    p_max_limit,
     stirling_second_row,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "bell_dobinski",
     "bell_touchard_exact",
     "log_mgf_bound",
-    "p_max_limit",
     "stirling_second_row",
 ]
 

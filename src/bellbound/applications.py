@@ -17,7 +17,6 @@ from .errors import BudgetError, DomainError
 from .series import BellQuery, bell_dobinski
 
 ENUM_BUDGET = 1_000_000
-MAX_ATOMS_FOR_ENUM = 8
 REL_SLACK = 1e-9       # relative slack of every verified inequality
 FAMILY_P = (2.0, 3.0, 4.0)
 # The largest integer p at which exact_sum_moment convolves: every C(56, i)
@@ -105,7 +104,10 @@ def _scale_exponent(tops: list[float], power: float, count: int = 1) -> int:
     """The least e >= 0 with count * (sum(tops) / 2**e)**power < 2**1024,
     power taken as at least 1 so that the sum fits too: 0 wherever it is in
     the double range, so that the atoms are then taken as given.  Division
-    by 2**e is exact, bar atoms pushed into the subnormals."""
+    by 2**e is exact, bar atoms pushed into the subnormals.  DomainError
+    for an empty family."""
+    if not tops:
+        raise DomainError("the family has no distribution")
     top = max(tops)
     k = math.frexp(top)[1]  # every sum of tops is below 2**(k + bit_length)
     room = 1024.0 - math.log2(count)
@@ -226,12 +228,9 @@ def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:
 
 def _enumerated_moment(dists: list[DiscreteDist], p: float, e: int) -> float:
     """E(sum eta_j)^p on the atoms divided by 2**e, over all outcome
-    tuples; BudgetError past MAX_ATOMS_FOR_ENUM or ENUM_BUDGET."""
+    tuples; BudgetError past ENUM_BUDGET of them."""
     states = 1
     for d in dists:
-        if len(d.atoms) > MAX_ATOMS_FOR_ENUM:
-            raise BudgetError(f"distribution has {len(d.atoms)} atoms, "
-                              f"cap is {MAX_ATOMS_FOR_ENUM}")
         states *= len(d.atoms)
         if states > ENUM_BUDGET:
             raise BudgetError(f"enumeration exceeds {ENUM_BUDGET} states")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .series import BellQuery, bell_dobinski, lambert_w, p_max_limit
+from .series import BellQuery, bell_dobinski, lambert_w, P_MAX
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _lambert_approx(p: float, power: float) -> LambertApprox:
     pw = p / lambert_w(p)
     log_value = -0.5 * math.log(p) + power * math.log(pw) + (pw - p - 1.0)
     ratio = None
-    if p <= p_max_limit():
+    if p <= P_MAX:
         ratio = math.exp(log_value - bell_dobinski(BellQuery(p, 1.0)).log_value)
     return LambertApprox(p=p, log_value=log_value, ratio_to_series=ratio)
 

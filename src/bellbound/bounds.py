@@ -20,13 +20,13 @@ from typing import NamedTuple
 from .errors import BellboundError, DomainError
 from .series import (
     BellQuery,
+    P_MAX,
     Regime,
     bell_dobinski,
     _poisson_deviance,
     lambert_w,
     log_mgf_bound,
     log_term,
-    p_max_limit,
     peak_index,
 )
 
@@ -354,7 +354,7 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     errors: list[str] = []
     witness: dict = {}
     series_root = None
-    if q.p <= p_max_limit():
+    if q.p <= P_MAX:
         series_root = _attempt(
             errors, "series", lambda: bell_dobinski(q, tol=series_tol).root(q.p))
 

@@ -10,7 +10,6 @@ near p ~ 170.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,15 +17,8 @@ from functools import lru_cache
 
 from .errors import BudgetError, DomainError
 
-DEFAULT_P_MAX = 500.0
+P_MAX = 500.0  # the largest exponent the series evaluator accepts
 DEFAULT_TERM_BUDGET = 500_000
-P_MAX_ENV = "BELLBOUND_PMAX"
-
-
-def p_max_limit() -> float:
-    """Largest exponent the series evaluator accepts (env-overridable)."""
-    raw = os.environ.get(P_MAX_ENV)
-    return float(raw) if raw else DEFAULT_P_MAX
 
 
 class Regime(Enum):
@@ -267,31 +259,35 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     <= tol/2.  Otherwise (only when |log B| runs to several hundred or
     more, where log_value's own ulp approaches tol) truncation is pushed
     to tol/2 and the returned certificate honestly exceeds tol.  p above
-    p_max_limit() is refused, and a sum not certified within
+    P_MAX is refused, and a sum not certified within
     DEFAULT_TERM_BUDGET terms raises BudgetError: before summing when the
     tail bounds half the budget away from the peak show it cannot certify.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    limit = p_max_limit()
-    if q.p > limit:
-        raise DomainError(f"p={q.p} exceeds p_max={limit}")
+    if q.p > P_MAX:
+        raise DomainError(f"p={q.p} exceeds p_max={P_MAX}")
 
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
     m = peak_index(p, beta)
-    # The sum stops only once each side's tail bound t_k r / (1 - r), which
-    # shrinks as k leaves the peak, is at most tol * B <= tol * U, U the
-    # Chernoff bound on B (Jensen's below p = 1).  Where both exceed
-    # e * tol * U (e for rounding) half the budget away, refuse at once.
+    # The sum cannot stop while one side's tail bound t_k r / (1 - r), which
+    # shrinks as k leaves the peak, exceeds tol times the sum, and the sum
+    # is at most B <= U = (beta + ceil(p))^p.  For Poisson X, Stein's
+    # identity gives E X^n = beta E (X + 1)^(n-1), so by Minkowski and
+    # induction on n, ||X||_n^n <= beta (||X||_(n-1) + 1)^(n-1) <=
+    # (beta + n)^n, and by Lyapunov ||X||_p <= ||X||_ceil(p); at p = 0 both
+    # sides are 1.  Where both sides' bounds half the budget away exceed
+    # tol * U by 1%, refuse at once: the logs compared, and the sum against
+    # B, carry errors far below 1%.
     budget, half = DEFAULT_TERM_BUDGET, DEFAULT_TERM_BUDGET // 2
     if m > half + 1:  # past k = 1, where the left tail is 0
-        log_u = p * (log_mgf_bound(q, lambert_w(q.ratio)) if p >= 1 else log_beta)
+        log_u = p * math.log(beta + math.ceil(p))
         # log(1/r) of the steps to t_{m+half} and t_{m-half}, r < 1
         steps = ((m + half, -_log_term_ratio(m + half - 1, p, beta, log_beta)),
                  (m - half, _log_term_ratio(m - half, p, beta, log_beta)))
         if all(x <= 0.0 or log_term(k, p, beta) - math.log(math.expm1(x))
-               > math.log(tol) + log_u + 1.0 for k, x in steps):
+               > math.log(tol) + log_u + 0.01 for k, x in steps):
             budget = 0
     # The sum is anchored at its largest term: for p = 0 that is
     # t_0 = e^{-beta} once beta <= 1, outside peak_index's range k >= 1.

@@ -179,6 +179,21 @@ class TestExactSumMoment:
         assert exact_sum_moment([d] * 4, 3).value == pytest.approx(
             10.0**3, rel=1e-13)
 
+    def test_many_atoms_in_one_summand(self):
+        # 12 outcome tuples: far within the enumeration budget
+        d = DiscreteDist(tuple((float(i), 1 / 12) for i in range(12)))
+        res = exact_sum_moment([d], 2.5)
+        assert res.method == "Enumeration"
+        assert res.value == pytest.approx(d.moment(2.5), rel=1e-14)
+
+    def test_empty_family(self):
+        with pytest.raises(DomainError, match="no distribution"):
+            exact_sum_moment([], 2)
+        with pytest.raises(DomainError, match="no distribution"):
+            mc_sum_moment([], 2, samples=10_000, seed=1)
+        with pytest.raises(DomainError, match="no distribution"):
+            check_family([], 2.0)
+
     def test_budget(self):
         # 8**8 states; integer p <= 56 convolves and needs no enumeration
         d = DiscreteDist(tuple((float(i), 0.125) for i in range(8)))

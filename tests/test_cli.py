@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from importlib import resources
@@ -361,6 +360,7 @@ class TestVerifyCommand:
         "1e100:0.5,1.0:0.5\n1e100:0.5,1.0:0.5\n",  # 4th moments past DBL_MAX
         "1.0:0.7,2.0:0.7\n",  # probabilities do not sum to 1
         "-1.0:0.5,1.0:0.5\n",  # negative value
+        "# nothing\n\n",  # no distribution
     ])
     def test_instance_file_input_error_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "family.txt"
@@ -421,9 +421,3 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("value 11.99999999999")
 
-    def test_pmax_env_override(self):
-        env = dict(os.environ, BELLBOUND_PMAX="100")
-        proc = subprocess.run(
-            [sys.executable, "-m", "bellbound.cli", "eval", "--p", "200",
-             "--beta", "1"], capture_output=True, text=True, env=env)
-        assert proc.returncode == 2

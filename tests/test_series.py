@@ -238,15 +238,19 @@ class TestCertificate:
         with pytest.raises(BudgetError):
             bell_dobinski(BellQuery(2, 1e10))
 
-    @pytest.mark.parametrize("beta", [1e10, 1e16, 8e307, sys.float_info.max])
+    @pytest.mark.parametrize("beta", [1.263e9, 1e10, 1e16, 8e307,
+                                      sys.float_info.max])
     def test_refused_before_summing(self, beta, monkeypatch):
         # the tail bounds half the budget from the peak show that the
-        # budget cannot suffice, so no term is summed
+        # budget cannot suffice, so no term is summed, and the closed-form
+        # U = (beta + ceil(p))^p needs no Lambert W nor MGF bound
         def refuse(*args):
-            raise AssertionError("a term was summed")
+            raise AssertionError("a term was summed or W solved")
 
         # the summation builds a term directly within its first 32 steps
         monkeypatch.setattr(series, "_direct_term", refuse)
+        monkeypatch.setattr(series, "lambert_w", refuse)
+        monkeypatch.setattr(series, "log_mgf_bound", refuse)
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="within 500000 terms"):
             bell_dobinski(BellQuery(2, beta))
@@ -254,16 +258,27 @@ class TestCertificate:
 
     @pytest.mark.parametrize("p", [0.5, 2.0])
     def test_refusal_up_front_is_sound(self, p, monkeypatch):
-        # just past the smallest beta refused up front (~1.3142e9, for the
-        # Chernoff and the Jensen U alike), the sum itself, with the check
-        # disabled (log_term is not used by the summation loop), also runs
-        # out of budget
-        beta = 1.3142e9
-        with pytest.raises(BudgetError):
-            bell_dobinski(BellQuery(p, beta))
+        # just past the smallest beta refused up front (~1.263e9 with the 1%
+        # margin; ~1.3142e9 with the factor e it replaced), the sum itself,
+        # with the check disabled (log_term is not used by the summation
+        # loop), also runs out of budget
+        betas = (1.263e9, 1.3142e9)
+        for beta in betas:
+            with pytest.raises(BudgetError):
+                bell_dobinski(BellQuery(p, beta))
         monkeypatch.setattr(series, "log_term", lambda *args: -math.inf)
-        with pytest.raises(BudgetError):
-            bell_dobinski(BellQuery(p, beta))
+        for beta in betas:
+            with pytest.raises(BudgetError):
+                bell_dobinski(BellQuery(p, beta))
+
+    @given(p=st.one_of(st.integers(0, 500).map(float), st.floats(0.0, 500.0)),
+           beta=st.floats(-3.0, 6.0).map(lambda t: 10.0**t))
+    @settings(max_examples=60, deadline=None)
+    def test_below_refusal_bound(self, p, beta):
+        # B(p, beta) <= (beta + ceil(p))^p, the U of the up-front refusal
+        res = bell_dobinski(BellQuery(p, beta))
+        assert res.log_value <= p * math.log(beta + math.ceil(p)) + (
+            total_certificate(res))
 
     @given(p=st.integers(0, 30),
            beta=st.floats(-3.0, 6.0).map(lambda t: 10.0**t))
