@@ -6,7 +6,8 @@ triangle-inequality bound.  Lower side: the largest single Dobinski term
 (integer search), its Stirling-smoothed continuous relaxation, the
 closed-form term at k0, Jensen's beta, and the K- * beta candidate.  All
 objectives are evaluated in log-space.  CANDIDATES lists every public bound
-once; bound_report and the sandwich suite both read it.
+once; the sandwich suite checks them all, and bound_report ranks the reported
+ones, with GOptimized alone on the upper side.
 """
 from __future__ import annotations
 
@@ -35,16 +36,31 @@ K_MINUS_FORMULA = (2.0 * math.pi) ** -0.5 * math.exp(-1.0 / (2.0 * math.e) + 1.0
 K_MINUS_PAPER = 0.6538
 
 
+def _lambda0(q: BellQuery) -> tuple[float, float]:
+    """(ln r, lambda0 = ln r - lnln r) for r = p/beta >= 2, taken from logs
+    so that both stay finite where p/beta overflows; lambda0 >= 1."""
+    log_r = math.log(q.p) - math.log(q.beta)
+    return log_r, log_r - math.log(log_r)
+
+
 def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
     """Optimized MGF upper bound on B^{1/p}: g_beta(p) = inf over lambda of
     the Chernoff bound.  Returns (bound, lambda_star).
 
     The log-objective is strictly convex in lambda and stationary where
     lambda * e^lambda = p/beta, so lambda_star = W(p/beta) in closed form.
+    Where p/beta overflows, lambda_star solves lambda + ln lambda = ln(p/beta)
+    instead, by Newton from lambda0: its error ~ lnln r / ln r < 0.01 falls
+    below an ulp in two steps.
     """
     if q.p < 1:
         raise DomainError(f"upper_g_optimized requires p >= 1, got p={q.p}")
-    lam = lambert_w(q.ratio)
+    if q.ratio < math.inf:
+        lam = lambert_w(q.ratio)
+    else:
+        log_r, lam = _lambda0(q)
+        for _ in range(3):
+            lam -= (lam + math.log(lam) - log_r) / (1.0 + 1.0 / lam)
     try:
         g = math.exp(log_mgf_bound(q, lam))
     except OverflowError:
@@ -55,18 +71,13 @@ def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
 
 
 def upper_closed_form_largep(q: BellQuery) -> float:
-    """Closed-form upper bound on B^{1/p} for p >= 2*beta:
+    """Closed-form upper bound on B^{1/p} for p >= 2*beta: the MGF bound at
+    lambda0 = ln(p/b) - lnln(p/b), which is
     [p/e / (ln(p/b) - lnln(p/b))] * exp{1/ln(p/b) - 1/(p/b)}.
-
-    Equals the MGF bound at lambda0 = ln(p/b) - lnln(p/b) exactly.
     """
-    if q.p < 1:
-        raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio < 2.0:
         raise DomainError(f"regime p >= 2*beta violated: p/beta = {q.ratio}")
-    log_r = math.log(q.p) - math.log(q.beta)  # finite where p/beta overflows
-    lam0 = log_r - math.log(log_r)  # >= 1, as log_r >= ln 2
-    return (q.p / math.e) / lam0 * math.exp(1.0 / log_r - q.beta / q.p)
+    return math.exp(log_mgf_bound(q, _lambda0(q)[1]))
 
 
 @dataclass(frozen=True)
@@ -259,13 +270,14 @@ class BoundReport:
     errors: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        """The report as JSON types; a side with no bound (NaN) is None."""
         return {
             "p": self.query.p,
             "beta": self.query.beta,
             "regime": self.regime.value,
-            "lower": self.lower,
+            "lower": self.lower if math.isfinite(self.lower) else None,
             "lower_method": self.lower_method,
-            "upper": self.upper,
+            "upper": self.upper if math.isfinite(self.upper) else None,
             "upper_method": self.upper_method,
             "witness": self.witness,
             "series_check": self.series_root,
@@ -281,18 +293,14 @@ class BoundReport:
 
 class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
     """One public bound on B^{1/p}: `evaluate` returns (value on the B^{1/p}
-    scale, witness), the witness reported under `witness_key`; `regimes`
-    are those in which bound_report lets it compete."""
+    scale, witness), the witness reported under `witness_key`; bound_report
+    ranks the `reported` ones."""
 
     name: str  # the method label, with a (side) suffix where two share one
     side: str  # "lower" or "upper"
-    regimes: tuple[Regime, ...]
+    reported: bool
     witness_key: str | None
     evaluate: Callable[[BellQuery], tuple[float, float | None]]
-
-    @property
-    def method(self) -> str:
-        return self.name.partition("(")[0]
 
     def on_side(self, value: float, root: float, slack: float) -> bool:
         """True when value lies on this bound's side of root = B^{1/p},
@@ -302,28 +310,27 @@ class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
         return value >= root * (1.0 - slack)
 
 
-_BOTH = (Regime.LARGE_P, Regime.LARGE_BETA)
-
 # Every public bound, lower side first.  The adapters look each bound up in
 # the module's globals when called, so a patched module attribute is the one
-# that runs.  Three compete in no regime: the k0 term never exceeds
-# H0Search, the largest single term; K+ * beta never falls below GOptimized,
-# the infimum it is one value of; RoughTriangle is checked, not reported.
+# that runs.  Four are checked, not reported: the k0 term never exceeds
+# H0Search, the largest single term; the closed form and K+ * beta are the
+# MGF bound at one lambda each, so never below GOptimized, its infimum;
+# RoughTriangle is checked, not reported.
 CANDIDATES = (
-    Candidate("H0Search", "lower", _BOTH, "k_star", lambda q:
+    Candidate("H0Search", "lower", True, "k_star", lambda q:
               attrgetter("root_bound", "k_star")(lower_h0_search(q))),
-    Candidate("HContinuous", "lower", _BOTH, "x_star",
+    Candidate("HContinuous", "lower", True, "x_star",
               lambda q: lower_h_continuous(q)),
-    Candidate("Jensen", "lower", _BOTH, None, lambda q: (lower_jensen(q), None)),
-    Candidate("ClosedFormLargeP(lower)", "lower", (), None,
+    Candidate("Jensen", "lower", True, None, lambda q: (lower_jensen(q), None)),
+    Candidate("ClosedFormLargeP(lower)", "lower", False, None,
               lambda q: (lower_closed_form_largep(q), None)),
-    Candidate("GOptimized", "upper", _BOTH, "lambda_star",
+    Candidate("GOptimized", "upper", True, "lambda_star",
               lambda q: upper_g_optimized(q)),
-    Candidate("ClosedFormLargeP(upper)", "upper", (Regime.LARGE_P,), None,
+    Candidate("ClosedFormLargeP(upper)", "upper", False, None,
               lambda q: (upper_closed_form_largep(q), None)),
-    Candidate("KPlusLargeBeta", "upper", (), None,
+    Candidate("KPlusLargeBeta", "upper", False, None,
               lambda q: (regime_upper_largebeta(q), None)),
-    Candidate("RoughTriangle", "upper", (), None,
+    Candidate("RoughTriangle", "upper", False, None,
               lambda q: (rough_upper_triangle(q), None)),
 )
 
@@ -339,14 +346,13 @@ def _attempt(errors: list[str], label: str, thunk):
 
 
 def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
-    """Evaluate the regime's bound pair for q and cross-check against the
-    series when p <= p_max.
+    """Evaluate the reported CANDIDATES for q and cross-check against the
+    series when p <= P_MAX.
 
-    The best of the CANDIDATES that list the regime wins on each side, ties
-    going to the larger (value, method).  Lower: H0Search, HContinuous
-    (capped at two series terms) or Jensen's beta in both regimes.  Upper:
-    the optimized MGF bound in both, or its closed form in LargeP.  LargeBeta
-    also carries the K- candidate.
+    Lower: the largest of H0Search, HContinuous (capped at two series terms)
+    and Jensen's beta, a tie going to the larger method name.  Upper: the
+    optimized MGF bound, GOptimized, the one reported upper candidate.  The
+    regime labels the report; LargeBeta also carries the K- candidate.
     """
     if q.p < 1:
         raise DomainError(f"bound_report requires p >= 1, got p={q.p}")
@@ -360,11 +366,11 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
 
     cands: dict[str, list[tuple[float, str]]] = {"lower": [], "upper": []}
     for c in CANDIDATES:
-        if regime not in c.regimes:
+        if not c.reported:
             continue
         got = _attempt(errors, c.name, lambda: c.evaluate(q))
         if got is not None:
-            cands[c.side].append((got[0], c.method))
+            cands[c.side].append((got[0], c.name))
             if c.witness_key:
                 witness[c.witness_key] = got[1]
 

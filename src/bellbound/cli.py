@@ -102,7 +102,10 @@ def _scan_row(p: float, beta: float, tol: float) -> dict:
             row["debruijn_total"] = asymptotics.debruijn_expansion(p).total
     except BellboundError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+    # NaN (no bound found) and inf (upper / series past DBL_MAX at subnormal
+    # beta) are not JSON: null, and an empty CSV cell
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in row.items()}
 
 
 def cmd_scan(args) -> int:
@@ -202,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(func=cmd_extremal)
 
     p_ver = sub.add_parser("verify", help="run self-verification suites")
-    p_ver.add_argument("--suite", default="all",
-                       choices=["oracles", "sandwich", "inequalities",
-                                "asymptotics", "all"])
+    p_ver.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--seed", type=int, default=7)
     p_ver.add_argument("--trials", type=int, default=1000)
     p_ver.add_argument("--instances", default=None,

@@ -72,7 +72,12 @@ class EvalResult:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value)
+        """exp(log_value); DomainError past the double range."""
+        try:
+            return math.exp(self.log_value)
+        except OverflowError:
+            raise DomainError(f"value = exp({self.log_value:.6g}) exceeds the "
+                              "double range") from None
 
     def root(self, p: float) -> float:
         """value**(1/p), the B^{1/p} scale."""
@@ -367,13 +372,18 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def stirling_second_row(p: int) -> tuple[int, ...]:
-    """Row p of the Stirling-numbers-of-the-second-kind triangle, exact ints."""
-    if p == 0:
-        return (1,)
-    prev = stirling_second_row(p - 1) + (0,)  # S(p - 1, p) = 0
-    return (0,) + tuple(prev[j - 1] + j * prev[j] for j in range(1, p + 1))
+    """Row p of the Stirling-numbers-of-the-second-kind triangle, exact ints.
+
+    Built up from row 0 by S(n, j) = S(n-1, j-1) + j S(n-1, j); only the
+    requested row is cached.
+    """
+    row = (1,)
+    for n in range(1, p + 1):
+        prev = row + (0,)  # S(n - 1, n) = 0
+        row = (0,) + tuple(prev[j - 1] + j * prev[j] for j in range(1, n + 1))
+    return row
 
 
 TOUCHARD_P_CAP = 30

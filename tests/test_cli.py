@@ -13,13 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbound import BellQuery, bell_dobinski, bounds, verify
-from bellbound.cli import main
+from bellbound.cli import build_parser, main
 
 
 def run_main(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def schema(name):
@@ -108,14 +115,26 @@ class TestBounds:
     def test_schema_methods_are_the_reported_candidates(self):
         props = schema("bounds")["properties"]
         for side in ("lower", "upper"):
-            reported = {c.method for c in bounds.CANDIDATES
-                        if c.side == side and c.regimes}
+            reported = {c.name for c in bounds.CANDIDATES
+                        if c.side == side and c.reported}
             assert set(props[f"{side}_method"]["enum"]) == reported | {"none"}
 
     def test_boundary_tie(self, capsys):
         _, out = run_main(
             ["bounds", "--p", "2", "--beta", "1", "--format", "json"], capsys)
         assert json.loads(out)["regime"] == "LargeP"
+
+    def test_no_upper_bound_is_null(self, capsys):
+        # GOptimized exceeds the double range here, and no other upper
+        # bound is reported
+        code, out = run_main(
+            ["bounds", "--p", "50", "--beta", "1.7976931348623157e308",
+             "--format", "json"], capsys)
+        assert code == 0
+        payload = strict_json(out)
+        jsonschema.validate(payload, schema("bounds"))
+        assert payload["upper"] is None and payload["upper_method"] == "none"
+        assert payload["lower"] == sys.float_info.max
 
     def test_smallest_beta(self, capsys):
         code, out = run_main(
@@ -186,6 +205,36 @@ class TestScan:
         code = main(["scan", "--p-start", "0", "--p-stop", "10", "--p-count",
                      "3", "--p-log", "--beta-start", "1", "--beta-stop", "1"])
         assert code == 2
+
+    NO_UPPER = ["scan", "--p-start", "50", "--p-stop", "50", "--beta-start",
+                "1", "--beta-stop", "1.7976931348623157e308", "--beta-count",
+                "2"]
+
+    def test_no_upper_bound_is_null(self, capsys):
+        code, out = run_main(self.NO_UPPER + ["--format", "json"], capsys)
+        assert code == 0
+        rows = strict_json(out)
+        jsonschema.validate(rows, schema("scan"))
+        assert rows[0]["upper"] is not None
+        assert rows[1]["upper"] is None and rows[1]["upper_method"] == "none"
+
+    def test_no_upper_bound_is_an_empty_cell(self, capsys):
+        _, out = run_main(self.NO_UPPER, capsys)
+        header, first, second = out.strip().splitlines()
+        assert "nan" not in out.lower()
+        upper = header.split(",").index("upper")
+        assert first.split(",")[upper] != ""
+        assert second.split(",")[upper] == ""
+
+    def test_overflowing_ratio_is_null(self, capsys):
+        # upper / series_b_1p ~ 5e-4 / 5e-324 exceeds DBL_MAX
+        code, out = run_main(
+            ["scan", "--p-start", "1", "--p-stop", "1", "--beta-start",
+             "5e-324", "--beta-stop", "5e-324", "--format", "json"], capsys)
+        assert code == 0
+        [row] = strict_json(out)
+        assert row["ratio_upper_over_series"] is None
+        assert row["upper"] > 0 and row["error"] is None
 
     def test_smallest_beta_rows(self, capsys):
         code, out = run_main(
@@ -331,6 +380,20 @@ class TestVerifyCommand:
         code, out = run_main(["verify", "--suite", "oracles"], capsys)
         assert code == 0
         assert "[PASS] oracle-equivalence" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_1_exit_2(self, capsys, trials):
+        # a suite run over no trials would check nothing and pass
+        code = main(["verify", "--suite", "inequalities", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "trials must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_every_suite_parses(self):
+        parser = build_parser()
+        for name in verify.SUITES:
+            assert parser.parse_args(["verify", "--suite", name]).suite == name
 
     def test_deterministic(self, capsys):
         args = ["verify", "--suite", "inequalities", "--trials", "100",

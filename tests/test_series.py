@@ -104,6 +104,11 @@ class TestDobinski:
         assert math.isfinite(res.log_value)
         assert res.log_value > 700  # value itself would overflow a double
 
+    def test_value_past_double_range(self):
+        res = bell_dobinski(BellQuery(300, 1.0))  # log_value ~ 1045.3
+        with pytest.raises(DomainError, match="double range"):
+            res.value
+
 
 class TestPeakIndex:
     @staticmethod
@@ -306,6 +311,13 @@ class TestTouchard:
 
     def test_stirling_row(self):
         assert stirling_second_row(5) == (0, 1, 15, 25, 10, 1)
+
+    def test_stirling_row_600_from_a_cold_cache(self):
+        # one row at a time, so no recursion depth to exceed
+        stirling_second_row.cache_clear()
+        row = stirling_second_row(600)
+        assert row[2] == 2**599 - 1
+        assert row[599] == math.comb(600, 2)
 
     def test_cap(self):
         from bellbound import BudgetError
