@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError
-from .series import BellQuery, bell_dobinski
+from .series import BellQuery, bell_dobinski, exp_in_range
 
 ENUM_BUDGET = 1_000_000
 REL_SLACK = 1e-9       # relative slack of every verified inequality
@@ -140,14 +140,6 @@ def _scale_back(values: tuple[float, ...], e: int, p: float,
     return values
 
 
-def _exp_in_range(log_value: float, what: str) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"{what} = exp({log_value:.6g}) exceeds the double "
-                          "range") from None
-
-
 def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float) -> float:
     """B(p) * max{sum_j E eta_j^p, (sum_j E eta_j)^p}: an upper bound on
     E(sum eta_j)^p for any non-negative independent sequence, p >= 2."""
@@ -157,7 +149,7 @@ def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float) -> float:
         raise DomainError(f"sum_p_moments must be positive finite, got {sum_p_moments}")
     if not (sum_means > 0 and math.isfinite(sum_means)):
         raise DomainError(f"sum_means must be positive finite, got {sum_means}")
-    return _exp_in_range(
+    return exp_in_range(
         _log_bell_at_one(float(p))
         + max(math.log(sum_p_moments), p * math.log(sum_means)),
         "rosenthal_bound")
@@ -175,7 +167,7 @@ def schechtman_extremal(prob: ExtremalProblem) -> float:
     mu = prob.mu
     log_b = bell_dobinski(BellQuery(prob.p, mu)).log_value
     log_prefactor = prob.p / (prob.p - 1.0) * (math.log(prob.b) - math.log(prob.a))
-    return _exp_in_range(log_prefactor + log_b, "schechtman_extremal")
+    return exp_in_range(log_prefactor + log_b, "schechtman_extremal")
 
 
 def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
@@ -344,20 +336,23 @@ def parse_instance_line(line: str) -> DiscreteDist:
 
 def load_instances(path: str) -> list[DiscreteDist]:
     """Read a line-oriented instance file, one distribution per line;
-    blank lines and #-comments are skipped."""
+    blank lines and #-comments are skipped.  DomainError, naming the file,
+    when it cannot be read as UTF-8 text."""
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise DomainError(f"cannot open instance file {path}: "
                           f"{exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"instance file {path} is not UTF-8 text") from None
     dists = []
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                dists.append(parse_instance_line(line))
-            except DomainError as exc:
-                raise DomainError(f"{path}, line {lineno}: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            dists.append(parse_instance_line(line))
+        except DomainError as exc:
+            raise DomainError(f"{path}, line {lineno}: {exc}") from None
     return dists

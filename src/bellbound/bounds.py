@@ -21,10 +21,10 @@ from typing import NamedTuple
 from .errors import BellboundError, DomainError
 from .series import (
     BellQuery,
-    P_MAX,
     Regime,
     bell_dobinski,
     _poisson_deviance,
+    exp_in_range,
     lambert_w,
     log_mgf_bound,
     log_term,
@@ -61,11 +61,7 @@ def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
         log_r, lam = _lambda0(q)
         for _ in range(3):
             lam -= (lam + math.log(lam) - log_r) / (1.0 + 1.0 / lam)
-    try:
-        g = math.exp(log_mgf_bound(q, lam))
-    except OverflowError:
-        raise DomainError(f"upper_g_optimized exceeds the double range at "
-                          f"p={q.p}, beta={q.beta}") from None
+    g = exp_in_range(log_mgf_bound(q, lam), "upper_g_optimized")
     # g >= B^{1/p} >= beta (Jensen), which rounding breaks past beta ~ 1e14
     return max(g, q.beta), lam
 
@@ -347,7 +343,8 @@ def _attempt(errors: list[str], label: str, thunk):
 
 def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     """Evaluate the reported CANDIDATES for q and cross-check against the
-    series when p <= P_MAX.
+    series.  A series refusal, such as p past series.P_MAX, lands in errors
+    like any candidate's.
 
     Lower: the largest of H0Search, HContinuous (capped at two series terms)
     and Jensen's beta, a tie going to the larger method name.  Upper: the
@@ -359,10 +356,8 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     regime = q.regime
     errors: list[str] = []
     witness: dict = {}
-    series_root = None
-    if q.p <= P_MAX:
-        series_root = _attempt(
-            errors, "series", lambda: bell_dobinski(q, tol=series_tol).root(q.p))
+    series_root = _attempt(
+        errors, "series", lambda: bell_dobinski(q, tol=series_tol).root(q.p))
 
     cands: dict[str, list[tuple[float, str]]] = {"lower": [], "upper": []}
     for c in CANDIDATES:

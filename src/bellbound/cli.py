@@ -40,9 +40,13 @@ def fmt(x) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {out_path}: "
+                          f"{exc.strerror}") from None
 
 
 def fmt_exp(log_value: float) -> str:

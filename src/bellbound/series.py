@@ -73,15 +73,21 @@ class EvalResult:
     @property
     def value(self) -> float:
         """exp(log_value); DomainError past the double range."""
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            raise DomainError(f"value = exp({self.log_value:.6g}) exceeds the "
-                              "double range") from None
+        return exp_in_range(self.log_value, "value")
 
     def root(self, p: float) -> float:
         """value**(1/p), the B^{1/p} scale."""
         return math.exp(self.log_value / p)
+
+
+def exp_in_range(log_value: float, what: str) -> float:
+    """exp(log_value) for a value leaving log space; DomainError naming
+    `what` past the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} = exp({log_value:.6g}) exceeds the double "
+                          "range") from None
 
 
 # Unit roundoff of IEEE double.  Forward-error bounds below charge 2u for
@@ -146,14 +152,13 @@ def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
 
 
 def log_term(k: int, p: float, beta: float) -> float:
-    """Natural log of the k-th Dobinski term e^{-beta} k^p beta^k / k!.
+    """Natural log of the k-th Dobinski term e^{-beta} k^p beta^k / k!, for
+    k >= 1.
 
     For k > 20, k log beta - beta - log k! is evaluated as in _log_poisson,
     -(k log(k/beta) + beta - k) - log(2 pi k)/2 - (Stirling remainder), so
     operands of size k log k never cancel.
     """
-    if k == 0:
-        return -beta if p == 0 else -math.inf
     if k <= _LOG_FACTORIAL_MAX:
         # this association keeps exact ties exact, e.g. t_2 = t_3 at
         # (p, beta) = (1, 2)
@@ -205,10 +210,10 @@ def peak_index(p: float, beta: float) -> int:
     evaluations.  For k + 1 < beta the ratio is > 0, and is computed so:
     p * log1p(1/k) >= 0 plus log(beta) - log(k + 1) > 0, or -log1p(d / beta)
     > 0 with an exact d = k + 1 - beta < 0 (from 2**52, the exact lead term
-    p/k - d/beta).  A ratio of exactly 0 is a tie (p = 0 at integer beta,
-    say); below 2**52 it is settled on log_term, so that the peak is the
-    larger of the pair as log_term ranks them.  Above, neighbouring
-    log_terms agree to within their rounding.
+    p/k - d/beta).  A ratio of exactly 0 is a tie (t_2 = t_3 at
+    (p, beta) = (1, 2), say); below 2**52 it is settled on log_term, so that
+    the peak is the larger of the pair as log_term ranks them.  Above,
+    neighbouring log_terms agree to within their rounding.
     """
     log_beta = math.log(beta)
     lo, hi = max(1, math.floor(beta) - 1), math.ceil(beta) + math.ceil(p) + 1
@@ -226,11 +231,11 @@ def peak_index(p: float, beta: float) -> int:
     return hi
 
 
-def _direct_term(k: int, p: float, top: int, beta: float, log_beta: float,
+def _direct_term(k: int, p: float, m: int, beta: float, log_beta: float,
                  log_pois_m: float) -> tuple[float, float]:
-    """The k-th Dobinski term over the top-th, t_k / t_top, from
-    _log_poisson, and a bound on its relative error in units of _U."""
-    log_pow = p * math.log1p((k - top) / top) if p else 0.0
+    """The k-th Dobinski term over the m-th, t_k / t_m, from _log_poisson,
+    and a bound on its relative error in units of _U."""
+    log_pow = p * math.log1p((k - m) / m)
     log_pois, mag = _log_poisson(k, beta, log_beta)
     d_pois = log_pois - log_pois_m
     return (math.exp(log_pow + d_pois),
@@ -239,6 +244,10 @@ def _direct_term(k: int, p: float, top: int, beta: float, log_beta: float,
 
 def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     """Evaluate log B(p, beta) with a certified relative error.
+
+    B(0, beta) = 1, the Poisson total mass, is returned in closed form:
+    log_value 0, no terms, no truncation and no rounding error.  For p > 0
+    the term t_0 is 0, so the walk below stops at k = 1.
 
     Summation starts at the largest term (peak_index) and walks outward in
     both directions, each term scaled by the peak term, with Kahan
@@ -253,9 +262,9 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
 
     Each term is its neighbour times the term ratio,
     (beta / (k + 1)) * (1 + 1/k)^p walking right and its inverse walking
-    left, except every _REANCHOR-th term of a side and any step from or to
-    k = 0: those are built directly from _log_poisson, which costs several
-    times as much.  A forward-error bound on rounding is kept alongside:
+    left, except every _REANCHOR-th term of a side: those are built
+    directly from _log_poisson, which costs several times as much.  A
+    forward-error bound on rounding is kept alongside:
     from the operands of the peak term, each term's own error, the sum and
     the final addition.  A direct term's error is bounded from its
     operands; a ratio step adds 6 + 4p/k units of roundoff to the error of
@@ -276,13 +285,16 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
     m = peak_index(p, beta)
+    if p == 0:
+        return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
+                          peak_index=m, rounding_bound_log=-math.inf)
     # The sum cannot stop while one side's tail bound t_k r / (1 - r), which
     # shrinks as k leaves the peak, exceeds tol times the sum, and the sum
     # is at most B <= U = (beta + ceil(p))^p.  For Poisson X, Stein's
     # identity gives E X^n = beta E (X + 1)^(n-1), so by Minkowski and
     # induction on n, ||X||_n^n <= beta (||X||_(n-1) + 1)^(n-1) <=
-    # (beta + n)^n, and by Lyapunov ||X||_p <= ||X||_ceil(p); at p = 0 both
-    # sides are 1.  Where both sides' bounds half the budget away exceed
+    # (beta + n)^n, and by Lyapunov ||X||_p <= ||X||_ceil(p).
+    # Where both sides' bounds half the budget away exceed
     # tol * U by 1%, refuse at once: the logs compared, and the sum against
     # B, carry errors far below 1%.
     budget, half = DEFAULT_TERM_BUDGET, DEFAULT_TERM_BUDGET // 2
@@ -294,11 +306,8 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
         if all(x <= 0.0 or log_term(k, p, beta) - math.log(math.expm1(x))
                > math.log(tol) + log_u + 0.01 for k, x in steps):
             budget = 0
-    # The sum is anchored at its largest term: for p = 0 that is
-    # t_0 = e^{-beta} once beta <= 1, outside peak_index's range k >= 1.
-    top = 0 if p == 0 and beta <= 1 else m
-    log_pois_m, mag_m = _log_poisson(top, beta, log_beta)
-    log_pow_m = p * math.log(top) if p else 0.0
+    log_pois_m, mag_m = _log_poisson(m, beta, log_beta)
+    log_pow_m = p * math.log(m)
     log_peak = log_pow_m + log_pois_m
     # First-order rounding model.  Errors in p*log(m) and in the addition
     # forming log_peak shift log_value directly.  An error in a term moves
@@ -313,14 +322,13 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     # s sums the terms scaled by the peak term, which contributes 1.
     s, c = 1.0, 0.0
     terms = 1
-    k_low = 0 if p == 0 else 1
-    right = left = top
+    right = left = m
     right_w = left_w = 1.0
     # relative error bound of each side's last term, in units of _U
     right_e = left_e = 6.0 * mag_m
     exp, log1p, inf = math.exp, math.log1p, math.inf
     right_tail = inf
-    left_tail = 0.0 if top == k_low else inf
+    left_tail = 0.0 if m == 1 else inf
     four_p = 4.0 * p  # a ratio step over (j, j + 1) adds 6 + 4p/j
 
     while True:
@@ -337,8 +345,8 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
                 f"within {DEFAULT_TERM_BUDGET} terms")
         if right_tail >= left_tail:
             k = right + 1
-            if right == 0 or (k - top) % _REANCHOR == 0:
-                w, e = _direct_term(k, p, top, beta, log_beta, log_pois_m)
+            if (k - m) % _REANCHOR == 0:
+                w, e = _direct_term(k, p, m, beta, log_beta, log_pois_m)
             else:
                 w = right_w * (beta / k) * exp(p * log1p(1.0 / right))
                 e = right_e + 6.0 + four_p / right
@@ -347,12 +355,12 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
             right, right_w, right_e = k, w, e
         else:
             k = left - 1
-            if k == 0 or (k - top) % _REANCHOR == 0:
-                w, e = _direct_term(k, p, top, beta, log_beta, log_pois_m)
+            if (k - m) % _REANCHOR == 0:
+                w, e = _direct_term(k, p, m, beta, log_beta, log_pois_m)
             else:
                 w = left_w * (left / beta) * exp(-p * log1p(1.0 / k))
                 e = left_e + 6.0 + four_p / k
-            left_tail = (0.0 if k == k_low else
+            left_tail = (0.0 if k == 1 else
                          w * w / (left_w - w) if w < left_w else inf)
             left, left_w, left_e = k, w, e
         off_err += w * e

@@ -6,8 +6,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 
-from bellbound import BellQuery, bell_dobinski, bell_touchard_exact
+from bellbound import BellQuery, bell_dobinski
 from bellbound import bounds, verify
 from bellbound.cli import main
 
@@ -19,28 +20,24 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    for p in range(0, 26):
-        for beta in (0.5, 1.0, 2.0, 10.0):
-            exact = float(bell_touchard_exact(p, beta))
-            approx = bell_dobinski(BellQuery(float(p), beta)).value
-            worst = max(worst, abs(approx - exact) / exact)
-    classic_ok = (
-        [bell_touchard_exact(p, 1) for p in (0, 1, 2, 3, 4, 5, 10)]
-        == [1, 1, 2, 5, 15, 52, 115975]
-    )
+    results = verify.suite_oracles()
     elapsed = time.perf_counter() - start
     report("criterion-1 oracle equivalence",
-           worst <= 1e-10 and classic_ok and elapsed < 1.0,
-           f"max rel err {worst:.2e}, classic Bell numbers exact, "
-           f"{elapsed:.2f}s")
+           all(r.passed for r in results) and elapsed < 1.0,
+           "; ".join(r.detail for r in results) + f"; {elapsed:.2f}s")
 
 
-def test_criterion_2_bilateral_sandwich():
+@pytest.fixture(scope="module")
+def sandwich():
+    """One run of the sandwich suite, shared by criteria 2 and 7: its
+    results by name, and its wall time."""
     start = time.perf_counter()
     results = verify.suite_sandwich()
-    by_name = {r.name: r for r in results}
-    elapsed = time.perf_counter() - start
+    return {r.name: r for r in results}, time.perf_counter() - start
+
+
+def test_criterion_2_bilateral_sandwich(sandwich):
+    by_name, elapsed = sandwich
     report("criterion-2 bilateral sandwich",
            by_name["sandwich"].passed and elapsed < 10.0,
            f"{by_name['sandwich'].detail}; {by_name['kminus-flags'].detail}; "
@@ -94,9 +91,8 @@ def test_criterion_6_inequality_verification():
            "; ".join(r.detail for r in results) + f"; {elapsed:.2f}s")
 
 
-def test_criterion_7_relative_error_corollary():
-    results = verify.suite_sandwich()
-    r = next(x for x in results if x.name == "relative-error-corollary")
+def test_criterion_7_relative_error_corollary(sandwich):
+    r = sandwich[0]["relative-error-corollary"]
     report("criterion-7 relative-error corollary", r.passed, r.detail)
 
 

@@ -62,6 +62,10 @@ class TestDiscreteDist:
             DiscreteDist(((0.0, 0.5), (1.0, 0.6)))
         with pytest.raises(DomainError):
             DiscreteDist(((-1.0, 1.0),))
+        with pytest.raises(DomainError, match="at least one atom"):
+            DiscreteDist(())
+        with pytest.raises(DomainError, match="outside"):
+            DiscreteDist(((0.0, 0.0), (1.0, 1.0)))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value(self, value):
@@ -98,6 +102,10 @@ class TestRosenthal:
     def test_domain(self):
         with pytest.raises(DomainError):
             rosenthal_bound(1.5, 1, 1)
+        with pytest.raises(DomainError, match="sum_p_moments"):
+            rosenthal_bound(3, 0, 1)
+        with pytest.raises(DomainError, match="sum_means"):
+            rosenthal_bound(3, 1, -1)
 
     def test_past_double_range(self):
         # B(300) ~ e^1291
@@ -134,6 +142,8 @@ class TestSchechtman:
     def test_requires_p_above_1(self):
         with pytest.raises(DomainError):
             ExtremalProblem(1, 1, 1)
+        with pytest.raises(DomainError, match="a, b must be > 0"):
+            ExtremalProblem(0, 1, 2)
 
     def test_large_mu(self):
         # mu = 1e6; B(3, mu) = mu^3 + 3 mu^2 + mu and (b/a)^{3/2} = 1e-9
@@ -193,6 +203,8 @@ class TestExactSumMoment:
             mc_sum_moment([], 2, samples=10_000, seed=1)
         with pytest.raises(DomainError, match="no distribution"):
             check_family([], 2.0)
+        with pytest.raises(DomainError, match="p must be > 0"):
+            exact_sum_moment([COIN], 0)
 
     def test_budget(self):
         # 8**8 states; integer p <= 56 convolves and needs no enumeration
@@ -253,6 +265,8 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(DomainError):
             mc_sum_moment([COIN], 2, samples=100, seed=1)
+        with pytest.raises(DomainError, match="p must be > 0"):
+            mc_sum_moment([COIN], 0, samples=10_000, seed=1)
 
     def test_past_double_range(self):
         with pytest.raises(DomainError, match="double range"):

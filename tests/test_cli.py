@@ -56,6 +56,15 @@ class TestEval:
         # p_max is a precondition, hence a domain error
         assert main(["eval", "--p", "800", "--beta", "1"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--p", "1", "--beta", "1"],
+        ["bounds", "--p", "2", "--beta", "1"],
+    ])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        path = str(tmp_path / "absent" / "out.txt")
+        assert main([*command, "--out", path]) == 2
+        assert f"cannot write output file {path}" in capsys.readouterr().err
+
     def test_value_past_double_range(self, capsys):
         # log B(168, 25.7) ~ 713.7 > log(DBL_MAX)
         code, out = run_main(["eval", "--p", "168", "--beta", "25.7"], capsys)
@@ -136,6 +145,21 @@ class TestBounds:
         assert payload["upper"] is None and payload["upper_method"] == "none"
         assert payload["lower"] == sys.float_info.max
 
+    def test_text_format(self, capsys):
+        # one "key value" line per report field, in order, dicts and lists
+        # as JSON; the missing upper bound prints an empty value
+        code, out = run_main(
+            ["bounds", "--p", "50", "--beta", "1.7976931348623157e308"], capsys)
+        assert code == 0
+        want = bounds.bound_report(BellQuery(50.0, sys.float_info.max)).to_dict()
+        fields = [line.split(" ", 1) for line in out.splitlines()]
+        assert [key for key, _ in fields] == list(want)
+        got = dict(fields)
+        assert got["upper"] == "" and got["upper_method"] == "none"
+        assert float(got["lower"]) == want["lower"]
+        for key in ("witness", "kminus", "errors"):
+            assert json.loads(got[key]) == want[key]
+
     def test_smallest_beta(self, capsys):
         code, out = run_main(
             ["bounds", "--p", "2", "--beta", "5e-324", "--format", "json"],
@@ -202,9 +226,13 @@ class TestScan:
         assert rows[1]["beta"] == 2.0 and rows[1]["debruijn_total"] is None
 
     def test_log_grid_start_zero_exit_2(self, capsys):
-        code = main(["scan", "--p-start", "0", "--p-stop", "10", "--p-count",
-                     "3", "--p-log", "--beta-start", "1", "--beta-stop", "1"])
-        assert code == 2
+        for axes in (["--p-start", "0", "--p-stop", "10", "--p-count", "3",
+                      "--p-log", "--beta-start", "1", "--beta-stop", "1"],
+                     ["--p-start", "1", "--p-stop", "10", "--p-count", "0",
+                      "--beta-start", "1", "--beta-stop", "1"],
+                     ["--p-start", "1", "--p-stop", "10", "--beta-start", "5",
+                      "--beta-stop", "1"]):
+            assert main(["scan", *axes]) == 2
 
     NO_UPPER = ["scan", "--p-start", "50", "--p-stop", "50", "--beta-start",
                 "1", "--beta-stop", "1.7976931348623157e308", "--beta-count",
@@ -424,10 +452,11 @@ class TestVerifyCommand:
         "1.0:0.7,2.0:0.7\n",  # probabilities do not sum to 1
         "-1.0:0.5,1.0:0.5\n",  # negative value
         "# nothing\n\n",  # no distribution
+        b"0:0.5,1:0.5\n\xff:1\n",  # not UTF-8
     ])
     def test_instance_file_input_error_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "family.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["verify", "--instances", str(path)]) == 2
         assert "domain error" in capsys.readouterr().err
 

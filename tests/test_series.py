@@ -76,7 +76,10 @@ class TestDobinski:
     def test_unimodal_terms(self):
         for p, beta in [(10, 1), (2, 10), (100, 0.5), (0, 5)]:
             res = bell_dobinski(BellQuery(p, beta))
-            terms = [log_term(k, p, beta) for k in range(1, res.terms_used + 1)]
+            # k up to 4x the peak covers every term summed at p > 0; at
+            # p = 0 the closed form sums none
+            terms = [log_term(k, p, beta)
+                     for k in range(1, 4 * res.peak_index + 1)]
             # ties (ratio exactly 1) are possible at the peak, so compare
             # with a one-ulp-scale slack
             peak = res.peak_index
