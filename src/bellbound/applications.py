@@ -74,7 +74,11 @@ class ExtremalProblem:
         """a^{p/(p-1)} * b^{1/(1-p)}, the Poisson intensity of the extremal
         configuration."""
         e = 1.0 / (self.p - 1.0)
-        return math.exp(self.p * e * math.log(self.a) - e * math.log(self.b))
+        mu = exp_in_range(self.p * e * math.log(self.a) - e * math.log(self.b),
+                          "mu")
+        if mu == 0.0:
+            raise DomainError("mu = a^(p/(p-1)) b^(1/(1-p)) underflows to 0")
+        return mu
 
 
 @dataclass(frozen=True)

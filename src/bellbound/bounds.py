@@ -7,7 +7,9 @@ triangle-inequality bound.  Lower side: the largest single Dobinski term
 closed-form term at k0, Jensen's beta, and the K- * beta candidate.  All
 objectives are evaluated in log-space.  CANDIDATES lists every public bound
 once; the sandwich suite checks them all, and bound_report ranks the reported
-ones, with GOptimized alone on the upper side.
+ones, with GOptimized alone on the upper side.  Where the largest term's
+index has no double (p ~ 1e300 at beta = DBL_MAX), series.peak_index
+refuses, so H0Search and HContinuous do, and the report answers with Jensen.
 """
 from __future__ import annotations
 
@@ -118,23 +120,24 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     deviance, is strictly concave on [1, inf) with a decreasing convex
     derivative, so Newton's method on its stationary equation, started at
     the largest integer term and clamped to x >= 1, converges (monotonically
-    after the first step).  Evaluating it through D avoids the cancellation
-    of x ln beta against x ln x, both of size ~beta ln beta.
+    after the first step).  Where the slope at x = 1, p + ln beta - 5/12,
+    is <= 0, the maximum is at x = 1: then 2^(p-1) beta < 1, so the
+    largest term is the first, and the clamped first step stays there.
+    Evaluating the objective through D avoids the cancellation of x ln beta
+    against x ln x, both of size ~beta ln beta.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
-    x = 1.0
-    if p + log_beta - 5.0 / 12.0 > 0.0:  # the slope at x = 1
-        x = float(peak_index(p, beta))
-        for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
-            slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
-            curv = -(p - 0.5) / (x * x) - 1.0 / x - 1.0 / (6.0 * x * x * x)
-            x_new = max(1.0, x - slope / curv)
-            if abs(x_new - x) <= 1e-15 * x:
-                break
-            x = x_new
+    x = float(peak_index(p, beta))
+    for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
+        slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
+        curv = -(p - 0.5) / (x * x) - 1.0 / x - 1.0 / (6.0 * x * x * x)
+        x_new = max(1.0, x - slope / curv)
+        if abs(x_new - x) <= 1e-15 * x:
+            break
+        x = x_new
     log_term_x = (p * math.log(x) - _poisson_deviance(x, beta)[0]
                   - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x))
     n = max(1, math.floor(x))
@@ -308,10 +311,11 @@ class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
 
 # Every public bound, lower side first.  The adapters look each bound up in
 # the module's globals when called, so a patched module attribute is the one
-# that runs.  Four are checked, not reported: the k0 term never exceeds
-# H0Search, the largest single term; the closed form and K+ * beta are the
-# MGF bound at one lambda each, so never below GOptimized, its infimum;
-# RoughTriangle is checked, not reported.
+# that runs.  Five are checked, not reported: the k0 term never exceeds
+# H0Search, the largest single term; K- * beta never exceeds Jensen's beta;
+# the closed form and K+ * beta are the MGF bound at one lambda each, so
+# never below GOptimized, its infimum; RoughTriangle is checked, not
+# reported.
 CANDIDATES = (
     Candidate("H0Search", "lower", True, "k_star", lambda q:
               attrgetter("root_bound", "k_star")(lower_h0_search(q))),
@@ -320,6 +324,8 @@ CANDIDATES = (
     Candidate("Jensen", "lower", True, None, lambda q: (lower_jensen(q), None)),
     Candidate("ClosedFormLargeP(lower)", "lower", False, None,
               lambda q: (lower_closed_form_largep(q), None)),
+    Candidate("KMinusLargeBeta", "lower", False, None,
+              lambda q: (regime_lower_largebeta(q).value, None)),
     Candidate("GOptimized", "upper", True, "lambda_star",
               lambda q: upper_g_optimized(q)),
     Candidate("ClosedFormLargeP(upper)", "upper", False, None,

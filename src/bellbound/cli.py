@@ -75,39 +75,38 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    q = BellQuery(args.p, args.beta)
-    report = bounds.bound_report(q)
+    d = bounds.bound_report(BellQuery(args.p, args.beta)).to_dict()
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        text = json.dumps(d, indent=2)
     else:
-        d = report.to_dict()
-        lines = [f"{k} {fmt(v) if not isinstance(v, (dict, list)) else json.dumps(v)}"
-                 for k, v in d.items()]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(
+            f"{k} {fmt(v) if not isinstance(v, (dict, list)) else json.dumps(v)}"
+            for k, v in d.items())
+    _emit(text + "\n", args.out)
     return EXIT_OK
 
 
 def _scan_row(p: float, beta: float, tol: float) -> dict:
-    row: dict = {c: None for c in SCAN_COLUMNS}
+    """One scan row, from the point's bound report: its columns and nulls
+    as to_dict gives them, its refusals joined into `error`."""
+    row: dict = dict.fromkeys(SCAN_COLUMNS)
     row["p"], row["beta"] = p, beta
     try:
-        q = BellQuery(p, beta)
-        report = bounds.bound_report(q, series_tol=tol)
-        row["regime"] = report.regime.value
-        row["series_b_1p"] = report.series_root
-        row["lower"] = report.lower
-        row["lower_method"] = report.lower_method
-        row["upper"] = report.upper
-        row["upper_method"] = report.upper_method
-        if report.series_root:
-            row["ratio_upper_over_series"] = report.upper / report.series_root
-            row["ratio_series_over_lower"] = report.series_root / report.lower
+        report = bounds.bound_report(BellQuery(p, beta), series_tol=tol)
+        d = report.to_dict()
+        row.update((k, d[k]) for k in SCAN_COLUMNS if k in d)
+        row["series_b_1p"] = series = d["series_check"]
+        row["error"] = "; ".join(d["errors"]) or None
+        if series:
+            row["ratio_upper_over_series"] = report.upper / series
+            row["ratio_series_over_lower"] = series / report.lower
         if beta == 1.0 and p > math.e:
             row["debruijn_total"] = asymptotics.debruijn_expansion(p).total
     except BellboundError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    # NaN (no bound found) and inf (upper / series past DBL_MAX at subnormal
-    # beta) are not JSON: null, and an empty CSV cell
+    # a ratio is NaN where there is no upper bound, and inf where upper /
+    # series passes DBL_MAX (subnormal beta); neither is JSON: null, and an
+    # empty CSV cell
     return {k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in row.items()}
 

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -66,6 +67,26 @@ class TestLambertW:
             mw = mpmath.mpf(w)
             assert float(abs(mw * mpmath.exp(mw) / x - 1)) <= 1e-13
             assert float(abs(mw / mpmath.lambertw(x) - 1)) <= 1e-15
+
+    @pytest.mark.parametrize("x", [3.8e-5, 0.25181370764269145])
+    def test_to_an_ulp(self, x):
+        # an absolute residual test below x = 1 left W(3.8e-5) 2.4e-9 off;
+        # a stop at 2^-52 * w let the steps at 0.2518... cycle by +-2 ulps
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.lambertw(mpmath.mpf(x)).real
+            assert float(abs(lambert_w(x) / want - 1)) <= 4e-16
+
+    def test_log_uniform_over_the_doubles(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(13)
+        lo, hi = math.log(5e-324), math.log(sys.float_info.max)
+        xs = [5e-324, sys.float_info.max] + [
+            math.exp(rng.uniform(lo, hi)) for _ in range(2000)]
+        with mpmath.workdps(40):
+            for x in xs:
+                want = mpmath.lambertw(mpmath.mpf(x)).real
+                assert float(abs(lambert_w(x) / want - 1)) <= 4e-16, x
 
     def test_against_scipy(self):
         for x in np.logspace(-3, 5, 30):

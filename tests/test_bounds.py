@@ -99,6 +99,14 @@ class TestUpperGOptimized:
         if p <= 500:
             assert g >= series_root(p, beta) * (1 - 1e-9)
 
+    def test_witness_is_w_at_small_ratio(self):
+        # lambda_star = W(p/beta) to an ulp where p/beta is far below 1
+        mpmath = pytest.importorskip("mpmath")
+        _, lam = upper_g_optimized(BellQuery(2, 5e4))
+        with mpmath.workdps(40):
+            want = mpmath.lambertw(mpmath.mpf(2) / 5e4).real
+            assert float(abs(lam / want - 1)) <= 1e-15
+
     def test_witness_stationarity(self):
         # interior optimum solves lambda * e^lambda = p / beta
         for p, beta in [(10, 1), (2, 10), (100, 0.3)]:
@@ -195,10 +203,13 @@ class TestLowerHContinuous:
         (1, 1e4), (3, 1e4), (120, 1e4), (499, 1e4), (1.3197, 63513.9),
         (1, 1e5), (2.5, 1e5), (50, 1e5), (500, 1e5), (10, 1), (200, 0.3),
         (2, 10), (7.7, 7.7), (60, 7), (2, 1e-310),
+        (0.4, 1.0), (0.1, 1.3), (1, 0.3), (300, 1e-200), (500, 1e-300),
     ])
     def test_matches_the_sup_to_50_digits(self, p, beta):
         mpmath = pytest.importorskip("mpmath")
         val, x_star = lower_h_continuous(BellQuery(p, beta))
+        if p + math.log(beta) <= 5 / 12:  # slope <= 0 at x = 1
+            assert x_star == 1.0
         with mpmath.workdps(50):
             mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
 
@@ -396,11 +407,18 @@ class TestBoundReport:
         assert rep.lower == sys.float_info.max
         assert any(e.startswith("GOptimized:") for e in rep.errors)
 
+    def test_peak_past_the_double_range_is_refused(self):
+        # the largest term's index, ~beta + p, has no double
+        rep = bound_report(BellQuery(1e300, sys.float_info.max))
+        assert (rep.lower, rep.lower_method) == (sys.float_info.max, "Jensen")
+        for name in ("H0Search", "HContinuous"):
+            assert any(e.startswith(f"{name}: peak index") for e in rep.errors)
+
 
 class TestCandidates:
     def test_every_public_bound_listed_once(self):
         names = [c.name for c in CANDIDATES]
-        assert len(set(names)) == len(names) == 8
+        assert len(set(names)) == len(names) == 9
         assert {c.side for c in CANDIDATES} == {"lower", "upper"}
 
     def test_report_lower_candidates(self):

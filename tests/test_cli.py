@@ -276,6 +276,27 @@ class TestScan:
         assert all(row["lower"] <= row["series_b_1p"] <= row["upper"]
                    for row in rows)
 
+    def test_series_refusal_in_error_column(self, capsys):
+        code, out = run_main(
+            ["scan", "--p-start", "500", "--p-stop", "600", "--p-count", "2",
+             "--beta-start", "1", "--beta-stop", "1", "--format", "json"],
+            capsys)
+        assert code == 0
+        first, second = strict_json(out)
+        assert first["error"] is None
+        assert second["series_b_1p"] is None
+        assert second["error"] == "series: p=600.0 exceeds p_max=500.0"
+
+    def test_tol_0_exit_2(self, capsys):
+        # every row's series refuses tol = 0, as eval does
+        code, out = run_main(
+            ["scan", "--p-start", "1", "--p-stop", "2", "--beta-start", "1",
+             "--beta-stop", "1", "--tol", "0", "--format", "json"], capsys)
+        assert code == 2 == main(["eval", "--p", "1", "--beta", "1",
+                                  "--tol", "0"])
+        [row] = strict_json(out)
+        assert row["error"].startswith("series: tol must lie in")
+
     def test_row_error_recorded(self, capsys):
         # p = 0.5 is below the bound-report domain: row carries an error
         code, out = run_main(
@@ -401,6 +422,15 @@ class TestExtremal:
         assert proc.returncode == 2
         assert "domain error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("a,b,message", [
+        ("1e300", "1e-300", "mu = exp("),
+        ("1e-300", "1e300", "mu = a^(p/(p-1)) b^(1/(1-p)) underflows to 0")])
+    def test_mu_out_of_range_exit_2(self, capsys, a, b, message):
+        # mu = a^2 / b overflows, or underflows to 0
+        assert main(["extremal", "--a", a, "--b", b, "--p", "2"]) == 2
+        assert f"domain error: {message}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -174,6 +174,12 @@ class TestPeakIndex:
         assert peak_index(p, beta) == self.exact_peak(p, beta)
         assert len(calls) <= 2 * math.log2(p + 4) + 4
 
+    def test_peak_without_a_double_is_refused(self):
+        with pytest.raises(DomainError, match="peak index"):
+            peak_index(1e300, sys.float_info.max)
+        # ~DBL_MAX + 50 rounds to DBL_MAX, so it is kept
+        assert peak_index(50.0, sys.float_info.max) > sys.float_info.max
+
     def test_series_at_smallest_beta(self):
         # B(2, beta) = beta^2 + beta
         res = bell_dobinski(BellQuery(2.0, 5e-324))
@@ -334,6 +340,14 @@ class TestTouchard:
         assert bell_touchard_exact(30, 10**11) > 10**330
         assert bell_touchard_exact(30, Fraction(10**11)) > 10**330
         assert math.isfinite(bell_touchard_exact(30, 1e10))
+
+    @given(p=st.integers(0, 30), beta=st.floats(1e-300, 1e10))
+    @settings(max_examples=200, deadline=None)
+    def test_float_beta_rounds_the_exact_sum_once(self, p, beta):
+        got = bell_touchard_exact(p, beta)
+        exact = bell_touchard_exact(p, Fraction(beta))
+        ulp = Fraction(math.ulp(got))
+        assert abs(Fraction(got) - exact) <= ulp / 2
 
     @given(p=st.integers(0, 20), beta=st.sampled_from([0.5, 1.0, 2.0, 10.0]))
     @settings(max_examples=60, deadline=None)
