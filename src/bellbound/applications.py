@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError
-from .series import BellQuery, bell_dobinski, exp_in_range
+from .series import BellQuery, bell_dobinski, in_range
 
 ENUM_BUDGET = 1_000_000
 REL_SLACK = 1e-9       # relative slack of every verified inequality
@@ -45,13 +45,13 @@ class DiscreteDist:
                 raise DomainError(f"atom probability {pr} outside (0, 1]")
 
     def mean(self) -> float:
-        return _fsum_in_range((v * pr for v, pr in self.atoms), "mean")
+        return in_range("mean", math.fsum, (v * pr for v, pr in self.atoms))
 
     def moment(self, p: float) -> float:
         what = f"moment of order {p:g}"
         e = _scale_exponent([max(self.atoms)[0]], p)  # the largest value
-        value = _fsum_in_range((math.ldexp(v, -e)**p * pr
-                                for v, pr in self.atoms), what)
+        value = in_range(what, math.fsum, (math.ldexp(v, -e)**p * pr
+                                           for v, pr in self.atoms))
         return _scale_back((value,), e, p, what)[0]
 
 
@@ -74,8 +74,8 @@ class ExtremalProblem:
         """a^{p/(p-1)} * b^{1/(1-p)}, the Poisson intensity of the extremal
         configuration."""
         e = 1.0 / (self.p - 1.0)
-        mu = exp_in_range(self.p * e * math.log(self.a) - e * math.log(self.b),
-                          "mu")
+        mu = in_range("mu", math.exp,
+                      self.p * e * math.log(self.a) - e * math.log(self.b))
         if mu == 0.0:
             raise DomainError("mu = a^(p/(p-1)) b^(1/(1-p)) underflows to 0")
         return mu
@@ -88,15 +88,6 @@ class SumMomentResult:
     value: float
     method: str  # "Convolution", "Enumeration" or "MonteCarlo"
     stderr: float | None = None
-
-
-def _fsum_in_range(terms, what: str) -> float:
-    """math.fsum of the terms; DomainError if a term or the sum exceeds the
-    double range."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise DomainError(f"{what} exceeds the double range") from None
 
 
 # A scaled moment below this lost terms to underflow (each less than
@@ -128,20 +119,15 @@ def _scale_back(values: tuple[float, ...], e: int, p: float,
     multiplied back by 2**(e*p) by adding to its binary exponent (exact at
     integer p); DomainError when one leaves the double range.  At large p
     one step of e moves the terms by 2**p, so the scaled first value can
-    fall to where its terms underflow: DomainError then too."""
-    if e:
-        if values[0] < _SCALED_FLOOR:
-            raise DomainError(f"{what} underflows when the atoms are "
-                              f"scaled by 2**-{e}")
-        n, frac = divmod(Fraction(p) * e, 1)  # e * p without rounding
-        try:
-            values = tuple(math.ldexp(v * 2.0 ** float(frac), n)
-                           for v in values)
-        except OverflowError:
-            values = (math.inf,)
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{what} exceeds the double range")
-    return values
+    fall to where its terms underflow: DomainError then too.  At e = 0
+    the values are checked as given (n = frac = 0)."""
+    if e and values[0] < _SCALED_FLOOR:
+        raise DomainError(f"{what} underflows when the atoms are "
+                          f"scaled by 2**-{e}")
+    # e * p without rounding
+    n, frac = divmod(Fraction(p) * e, 1) if e else (0, 0)
+    scale = 2.0 ** float(frac)
+    return tuple(in_range(what, math.ldexp, v * scale, n) for v in values)
 
 
 def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float) -> float:
@@ -153,10 +139,9 @@ def rosenthal_bound(p: float, sum_p_moments: float, sum_means: float) -> float:
         raise DomainError(f"sum_p_moments must be positive finite, got {sum_p_moments}")
     if not (sum_means > 0 and math.isfinite(sum_means)):
         raise DomainError(f"sum_means must be positive finite, got {sum_means}")
-    return exp_in_range(
-        _log_bell_at_one(float(p))
-        + max(math.log(sum_p_moments), p * math.log(sum_means)),
-        "rosenthal_bound")
+    return in_range("rosenthal_bound", math.exp,
+                    _log_bell_at_one(float(p))
+                    + max(math.log(sum_p_moments), p * math.log(sum_means)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -171,7 +156,7 @@ def schechtman_extremal(prob: ExtremalProblem) -> float:
     mu = prob.mu
     log_b = bell_dobinski(BellQuery(prob.p, mu)).log_value
     log_prefactor = prob.p / (prob.p - 1.0) * (math.log(prob.b) - math.log(prob.a))
-    return exp_in_range(log_prefactor + log_b, "schechtman_extremal")
+    return in_range("schechtman_extremal", math.exp, log_prefactor + log_b)
 
 
 def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
@@ -185,13 +170,14 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
     if p <= 0:
         raise DomainError(f"p must be > 0, got {p}")
     e = _scale_exponent([max(d.atoms)[0] for d in dists], p)
+    what = "E(sum eta_j)^p"
     if p <= CONVOLUTION_MAX_P and p == int(p):
-        value = _convolved_moment(dists, int(p), e)
+        value = in_range(what, _convolved_moment, dists, int(p), e)
         method = "Convolution"
     else:
         value = _enumerated_moment(dists, p, e)
         method = "Enumeration"
-    value, = _scale_back((value,), e, p, "E(sum eta_j)^p")
+    value, = _scale_back((value,), e, p, what)
     return SumMomentResult(value=value, method=method)
 
 
@@ -205,19 +191,19 @@ def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:
     max(1, S**p); so is each product E X^i E Y^(k-i), by the same bound on
     X + Y, and so is C(k, i) times it, a non-negative term of E(X + Y)^k.
     The binomial multiplies the product last, so that no intermediate is
-    larger than the term it builds."""
-    what = "E(sum eta_j)^p"
+    larger than the term it builds.  Within rounding of 2**1024 a sum can
+    still overflow, which exact_sum_moment refuses."""
     acc = None
     for j, d in enumerate(dists):
         scaled = [(math.ldexp(v, -e), pr) for v, pr in d.atoms]
-        moments = [_fsum_in_range([v**i * pr for v, pr in scaled], what)
+        moments = [math.fsum([v**i * pr for v, pr in scaled])
                    for i in range(p + 1)]
         if acc is None:
             acc = moments
             continue
         orders = (p,) if j == len(dists) - 1 else range(p + 1)
-        acc = [_fsum_in_range([c * (acc[i] * moments[k - i])
-                               for i, c in enumerate(_BINOMIALS[k])], what)
+        acc = [math.fsum([c * (acc[i] * moments[k - i])
+                          for i, c in enumerate(_BINOMIALS[k])])
                for k in orders]
     return acc[-1]
 
@@ -317,8 +303,8 @@ class FamilyCheck:
 
 def check_family(dists: list[DiscreteDist], p: float) -> FamilyCheck:
     """Both moment inequalities for one family of independent summands."""
-    a = _fsum_in_range((d.mean() for d in dists), "sum of means")
-    b = _fsum_in_range((d.moment(p) for d in dists), "sum of moments")
+    a = in_range("sum of means", math.fsum, (d.mean() for d in dists))
+    b = in_range("sum of moments", math.fsum, (d.moment(p) for d in dists))
     return FamilyCheck(exact=exact_sum_moment(dists, p).value,
                        rosenthal=rosenthal_bound(p, b, a),
                        schechtman=schechtman_extremal(ExtremalProblem(a=a, b=b, p=p)))

@@ -7,13 +7,17 @@ triangle-inequality bound.  Lower side: the largest single Dobinski term
 closed-form term at k0, Jensen's beta, and the K- * beta candidate.  All
 objectives are evaluated in log-space.  CANDIDATES lists every public bound
 once; the sandwich suite checks them all, and bound_report ranks the reported
-ones, with GOptimized alone on the upper side.  Where the largest term's
-index has no double (p ~ 1e300 at beta = DBL_MAX), series.peak_index
-refuses, so H0Search and HContinuous do, and the report answers with Jensen.
+ones, with GOptimized alone on the upper side.  Every bound leaves log
+space through series.in_range, so it returns a finite double or raises
+DomainError.  Where the largest term's index has no double (p ~ 1e300 at
+beta = DBL_MAX), series.peak_index refuses, and where p log k passes
+DBL_MAX (p ~ 2.6e305 at beta = 1) the single terms do; either way
+H0Search and HContinuous are refused and the report answers with Jensen.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
@@ -26,7 +30,7 @@ from .series import (
     Regime,
     bell_dobinski,
     _poisson_deviance,
-    exp_in_range,
+    in_range,
     lambert_w,
     log_mgf_bound,
     log_term,
@@ -63,7 +67,7 @@ def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
         log_r, lam = _lambda0(q)
         for _ in range(3):
             lam -= (lam + math.log(lam) - log_r) / (1.0 + 1.0 / lam)
-    g = exp_in_range(log_mgf_bound(q, lam), "upper_g_optimized")
+    g = in_range("upper_g_optimized", math.exp, log_mgf_bound(q, lam))
     # g >= B^{1/p} >= beta (Jensen), which rounding breaks past beta ~ 1e14
     return max(g, q.beta), lam
 
@@ -75,7 +79,8 @@ def upper_closed_form_largep(q: BellQuery) -> float:
     """
     if q.ratio < 2.0:
         raise DomainError(f"regime p >= 2*beta violated: p/beta = {q.ratio}")
-    return math.exp(log_mgf_bound(q, _lambda0(q)[1]))
+    return in_range("the closed-form upper bound", math.exp,
+                    log_mgf_bound(q, _lambda0(q)[1]))
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,9 @@ class H0Result:
 
     @property
     def root_bound(self) -> float:
-        """h0^{1/p}, the lower estimate on the B^{1/p} scale."""
-        return math.exp(self.log_bound_on_b / self.p)
+        """h0^{1/p}, the lower estimate on the B^{1/p} scale; DomainError
+        where the term's log is not finite (p log k past DBL_MAX)."""
+        return in_range("h0^(1/p)", math.exp, self.log_bound_on_b / self.p)
 
 
 def lower_h0_search(q: BellQuery) -> H0Result:
@@ -97,6 +103,8 @@ def lower_h0_search(q: BellQuery) -> H0Result:
 
     The terms are unimodal in k (strictly decreasing ratio), so the maximum
     sits at series.peak_index, found by bisection in O(log(beta + p)).
+    Its root_bound is refused from p ~ 2.6e305 (at beta = 1), where
+    p log k passes DBL_MAX.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
@@ -123,8 +131,10 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     after the first step).  Where the slope at x = 1, p + ln beta - 5/12,
     is <= 0, the maximum is at x = 1: then 2^(p-1) beta < 1, so the
     largest term is the first, and the clamped first step stays there.
+    The curvature is formed without x * x, which overflows from x ~ 1.3e154.
     Evaluating the objective through D avoids the cancellation of x ln beta
-    against x ln x, both of size ~beta ln beta.
+    against x ln x, both of size ~beta ln beta.  DomainError from
+    p ~ 2.6e305 (at beta = 1), where p log x passes DBL_MAX.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
@@ -133,7 +143,7 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     x = float(peak_index(p, beta))
     for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
         slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
-        curv = -(p - 0.5) / (x * x) - 1.0 / x - 1.0 / (6.0 * x * x * x)
+        curv = -((p - 0.5) / x + 1.0 + 1.0 / (6.0 * x * x)) / x
         x_new = max(1.0, x - slope / curv)
         if abs(x_new - x) <= 1e-15 * x:
             break
@@ -143,14 +153,17 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     n = max(1, math.floor(x))
     lo, hi = sorted((log_term(n, p, beta), log_term(n + 1, p, beta)))
     log_cap = hi + math.log1p(math.exp(lo - hi))
-    return math.exp(min(log_term_x, log_cap) / p), x
+    return in_range("the smoothed term^(1/p)", math.exp,
+                    min(log_term_x, log_cap) / p), x
 
 
 def k0_selector(q: BellQuery) -> int:
-    """Integer seed floor(p / ln(p*e/beta)) + 1 for the single-term lower bound."""
+    """Integer seed floor(p / ln(p*e/beta)) + 1 for the single-term lower
+    bound, the log taken as ln p + 1 - ln beta, which stays finite where
+    p*e/beta overflows."""
     if q.p < 1:
         raise DomainError(f"k0_selector requires p >= 1, got p={q.p}")
-    arg = math.log(q.p * math.e / q.beta)
+    arg = math.log(q.p) + 1.0 - math.log(q.beta)
     if arg <= 0:
         raise DomainError(f"ln(p*e/beta) = {arg} <= 0")
     return int(math.floor(q.p / arg)) + 1
@@ -158,11 +171,13 @@ def k0_selector(q: BellQuery) -> int:
 
 def lower_closed_form_largep(q: BellQuery) -> float:
     """Single Dobinski term at k0, on the B^{1/p} scale; rigorous lower
-    bound for p/beta >= 2."""
+    bound for p/beta >= 2.  DomainError from p ~ 2.6e305 (at beta = 1),
+    where p log k0 passes DBL_MAX."""
     if q.ratio < 2.0:
         raise DomainError(f"regime p/beta >= 2 violated: p/beta = {q.ratio}")
     k0 = k0_selector(q)
-    return math.exp(log_term(k0, q.p, q.beta) / q.p)
+    return in_range("the k0 term^(1/p)", math.exp,
+                    log_term(k0, q.p, q.beta) / q.p)
 
 
 def lower_jensen(q: BellQuery) -> float:
@@ -174,12 +189,13 @@ def lower_jensen(q: BellQuery) -> float:
 
 def regime_upper_largebeta(q: BellQuery) -> float:
     """K+ * beta, K+ = exp((e^2 - 3)/2), for p >= 1, p/beta <= 2: the MGF
-    bound at lambda = p/beta there, so never below upper_g_optimized."""
+    bound at lambda = p/beta there, so never below upper_g_optimized.
+    DomainError from beta ~ 2e307, where K+ * beta passes DBL_MAX."""
     if q.p < 1:
         raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio > 2.0:
         raise DomainError(f"regime p/beta <= 2 violated: p/beta = {q.ratio}")
-    return K_PLUS * q.beta
+    return in_range("K+ * beta", operator.mul, K_PLUS, q.beta)
 
 
 @dataclass(frozen=True)
@@ -239,7 +255,8 @@ def rough_upper_triangle(q: BellQuery) -> float:
     fitted constant.  Valid whenever p is at least the first point of the
     fit's grid (p ~ 2.85); below it the fit says nothing and the formula
     falls under B^{1/p}, even below 0.  For fractional beta the ceiling
-    keeps the sum-of-norms argument applicable.
+    keeps the sum-of-norms argument applicable.  DomainError where the
+    bound passes DBL_MAX (p = 100, beta = 1e308, say).
     """
     p_min = _rough_fit_grid()[0]
     if q.p < p_min:
@@ -248,9 +265,9 @@ def rough_upper_triangle(q: BellQuery) -> float:
     if q.beta < 1:
         raise DomainError(f"requires beta >= 1, got beta={q.beta}")
     lnp = math.log(q.p)
-    return math.ceil(q.beta) * (q.p / (math.e * lnp)) * (
-        1.0 + fitted_rough_constant() * math.log(lnp) / lnp
-    )
+    return in_range("the rough triangle bound", operator.mul,
+                    math.ceil(q.beta) * (q.p / (math.e * lnp)),
+                    1.0 + fitted_rough_constant() * math.log(lnp) / lnp)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ a Poisson(beta) variable.  The series is the ground-truth evaluator here;
 an exact Stirling-number (Touchard) path serves as the independent oracle
 for integer p.  Every value travels as a natural log and is exponentiated
 only at the presentation layer: B(p, 1) already overflows double precision
-near p ~ 170.
+near p ~ 170.  in_range is the one exit from log space: it returns a
+finite double or raises DomainError.
 """
 from __future__ import annotations
 
@@ -73,21 +74,27 @@ class EvalResult:
     @property
     def value(self) -> float:
         """exp(log_value); DomainError past the double range."""
-        return exp_in_range(self.log_value, "value")
+        return in_range("value", math.exp, self.log_value)
 
     def root(self, p: float) -> float:
         """value**(1/p), the B^{1/p} scale."""
         return math.exp(self.log_value / p)
 
 
-def exp_in_range(log_value: float, what: str) -> float:
-    """exp(log_value) for a value leaving log space; DomainError naming
-    `what` past the double range."""
+def in_range(what: str, f, *args) -> float:
+    """f(*args) as a finite double: the one exit from log space, or from
+    any computation that can leave the double range.  DomainError
+    "<what> exceeds the double range" when f raises OverflowError or
+    returns inf or NaN; for f = math.exp the message names the exponent,
+    "<what> = exp(<x>) exceeds ...".  Pass a constant `what` on hot paths."""
     try:
-        return math.exp(log_value)
+        value = f(*args)
     except OverflowError:
-        raise DomainError(f"{what} = exp({log_value:.6g}) exceeds the double "
-                          "range") from None
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    at = f" = exp({args[0]:.6g})" if f is math.exp else ""
+    raise DomainError(f"{what}{at} exceeds the double range")
 
 
 # Unit roundoff of IEEE double.  Forward-error bounds below charge 2u for
@@ -417,10 +424,8 @@ def bell_touchard_exact(p: int, beta):
     b = float(beta)
     if not (math.isfinite(b) and b > 0):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    try:
-        return float(bell_touchard_exact(p, Fraction(b)))
-    except OverflowError:
-        raise DomainError(f"B({p}, {beta!r}) exceeds the double range") from None
+    return in_range(f"B({p}, {beta!r})", float,
+                    bell_touchard_exact(p, Fraction(b)))
 
 
 def lambert_w(x: float) -> float:
@@ -461,10 +466,7 @@ def log_mgf_bound(q: BellQuery, lam: float) -> float:
     except OverflowError:
         growth = math.inf
     if growth == math.inf:  # beta (e^lam - 1) overflows; its log need not
-        try:
-            growth = math.exp(lam + math.log1p(-math.exp(-lam))
-                              + math.log(q.beta) - math.log(q.p))
-        except OverflowError:
-            raise DomainError(f"log of the MGF bound exceeds the double range "
-                              f"at p={q.p}, beta={q.beta}") from None
+        growth = in_range(
+            f"log of the MGF bound at p={q.p}, beta={q.beta}", math.exp,
+            lam + math.log1p(-math.exp(-lam)) + math.log(q.beta) - math.log(q.p))
     return math.log(q.p) - 1.0 - math.log(lam) + growth

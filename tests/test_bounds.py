@@ -226,6 +226,17 @@ class TestLowerHContinuous:
             assert float(abs(val / sup - 1)) <= 1e-13
             assert x_star == pytest.approx(float(x_sup), rel=1e-9)
 
+    @pytest.mark.parametrize("p,beta", [(1e160, 1e-300), (1e200, 1.0)])
+    def test_newton_keeps_its_curvature_past_x_squared(self, p, beta):
+        # x * x overflows from x ~ 1.3e154; the curvature is formed without
+        # it, so Newton still lands on the largest term (at the stopping
+        # tolerance, 1e-15 relative, which exceeds 1 here)
+        q = BellQuery(p, beta)
+        val, x_star = lower_h_continuous(q)
+        k = peak_index(p, beta)
+        assert abs(x_star - k) <= 1 + 1e-15 * k
+        assert val == pytest.approx(lower_h0_search(q).root_bound, rel=1e-9)
+
     def test_capped_below_series_at_tiny_beta(self):
         # the smoothed sup lies 6% above B^{1/p} here; the cap at
         # (t_n + t_{n+1})^{1/p}, n = floor(x_star), keeps it below
@@ -243,6 +254,16 @@ class TestK0AndClosedFormLower:
         assert k0_selector(BellQuery(10, 1)) == 4
         assert k0_selector(BellQuery(100, 1)) == 18
 
+    def test_k0_where_p_e_over_beta_overflows(self):
+        # p * e / beta is inf here, which sent k0 to 1
+        mpmath = pytest.importorskip("mpmath")
+        q = BellQuery(1e10, 1e-300)
+        with mpmath.workdps(40):
+            arg = mpmath.log(mpmath.mpf(q.p) * mpmath.e / mpmath.mpf(q.beta))
+            assert k0_selector(q) == int(mpmath.floor(q.p / arg)) + 1
+        h0 = lower_h0_search(q).root_bound
+        assert 0.999 * h0 <= lower_closed_form_largep(q) <= h0 * (1 + 1e-12)
+
     def test_closed_form_point(self):
         val = lower_closed_form_largep(BellQuery(10, 1))
         assert val == pytest.approx(
@@ -257,6 +278,10 @@ class TestK0AndClosedFormLower:
     def test_regime_error(self):
         with pytest.raises(DomainError):
             lower_closed_form_largep(BellQuery(3, 2))
+
+    def test_refused_where_p_log_k_overflows(self):
+        with pytest.raises(DomainError, match="double range"):
+            lower_closed_form_largep(BellQuery(1e308, 1))
 
 
 class TestRegimeLargeBeta:
@@ -281,6 +306,11 @@ class TestRegimeLargeBeta:
     def test_upper_regime_error(self):
         with pytest.raises(DomainError):
             regime_upper_largebeta(BellQuery(10, 1))
+
+    def test_kplus_past_double_range(self):
+        # K+ * beta passes DBL_MAX from beta ~ 2e307
+        with pytest.raises(DomainError, match=r"K\+ \* beta exceeds the double"):
+            regime_upper_largebeta(BellQuery(2, sys.float_info.max))
 
     def test_jensen(self):
         for p, beta in [(1, 3.5), (2, 10), (500, 1e-300)]:
@@ -316,6 +346,10 @@ class TestRoughTriangle:
         one = rough_upper_triangle(BellQuery(10, 1))
         assert rough_upper_triangle(BellQuery(10, 3)) == pytest.approx(
             3 * one, rel=1e-14)
+
+    def test_past_double_range(self):
+        with pytest.raises(DomainError, match="double range"):
+            rough_upper_triangle(BellQuery(100, 1e308))
 
     def test_refused_below_fitted_range(self):
         # the fit's first grid point with lnln p > 0 is p ~ 2.8502; below
@@ -414,6 +448,15 @@ class TestBoundReport:
         for name in ("H0Search", "HContinuous"):
             assert any(e.startswith(f"{name}: peak index") for e in rep.errors)
 
+    def test_single_terms_refused_where_p_log_k_overflows(self):
+        # p log k passes DBL_MAX from p ~ 2.6e305; the terms were inf
+        rep = bound_report(BellQuery(1e308, 1.0))
+        assert (rep.lower, rep.lower_method) == (1.0, "Jensen")
+        assert rep.lower <= rep.upper < math.inf
+        for name in ("H0Search", "HContinuous"):
+            assert any(e.startswith(f"{name}:") and "double range" in e
+                       for e in rep.errors)
+
 
 class TestCandidates:
     def test_every_public_bound_listed_once(self):
@@ -483,6 +526,23 @@ class TestCandidates:
         rep = bound_report(q)
         assert rep.lower <= root * (1 + REL_SLACK)
         assert rep.upper >= root * (1 - REL_SLACK)
+
+
+    @given(p=log_uniform(1.0, sys.float_info.max),
+           beta=log_uniform(5e-324, sys.float_info.max))
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_inputs_give_a_double_or_a_refusal(self, p, beta):
+        q = BellQuery(p, beta)
+        for c in CANDIDATES:
+            try:
+                value, _ = c.evaluate(q)
+            except DomainError:
+                continue
+            assert math.isfinite(value), (c.name, value)
+        rep = bound_report(q)
+        assert (rep.lower_method == "none") == (not math.isfinite(rep.lower))
+        if math.isfinite(rep.lower) and math.isfinite(rep.upper):
+            assert rep.lower <= rep.upper * (1 + REL_SLACK)
 
 
 class TestRatioConvergence:

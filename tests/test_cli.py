@@ -145,6 +145,20 @@ class TestBounds:
         assert payload["upper"] is None and payload["upper_method"] == "none"
         assert payload["lower"] == sys.float_info.max
 
+    def test_lower_where_single_terms_are_refused(self, capsys):
+        # p log k passes DBL_MAX: H0Search and HContinuous are refused,
+        # not reported as an infinite lower bound
+        code, out = run_main(
+            ["bounds", "--p", "1e308", "--beta", "1", "--format", "json"],
+            capsys)
+        assert code == 0
+        payload = strict_json(out)
+        jsonschema.validate(payload, schema("bounds"))
+        assert payload["lower_method"] == "Jensen"
+        assert payload["lower"] == 1.0 <= payload["upper"]
+        for name in ("H0Search", "HContinuous"):
+            assert any(e.startswith(f"{name}:") for e in payload["errors"])
+
     def test_text_format(self, capsys):
         # one "key value" line per report field, in order, dicts and lists
         # as JSON; the missing upper bound prints an empty value

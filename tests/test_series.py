@@ -113,6 +113,26 @@ class TestDobinski:
             res.value
 
 
+class TestInRange:
+    def test_finite_value_passes_through(self):
+        assert series.in_range("x", math.exp, 1.0) == math.exp(1.0)
+        assert series.in_range("x", math.exp, -800.0) == 0.0
+
+    @pytest.mark.parametrize("f,args", [
+        (math.ldexp, (1.0, 2000)),  # raises OverflowError
+        (float.__mul__, (1e308, 10.0)),  # returns inf
+        (float.__sub__, (math.inf, math.inf)),  # returns NaN
+    ])
+    def test_refuses_what_leaves_the_double_range(self, f, args):
+        with pytest.raises(DomainError, match="^y exceeds the double range$"):
+            series.in_range("y", f, *args)
+
+    def test_exp_names_its_exponent(self):
+        with pytest.raises(DomainError,
+                           match=r"^z = exp\(710\) exceeds the double range$"):
+            series.in_range("z", math.exp, 710.0)
+
+
 class TestPeakIndex:
     @staticmethod
     def linear_scan(p, beta):
