@@ -67,6 +67,7 @@ def cmd_eval(args) -> int:
         f"log_value {fmt(res.log_value)}",
         f"terms_used {res.terms_used}",
         f"peak_index {res.peak_index}",
+        f"method {res.method}",
         f"tail_bound_rel {fmt(math.exp(res.tail_bound_log))}",
         f"rounding_bound_rel {fmt(math.exp(res.rounding_bound_log))}",
     ]

@@ -1,12 +1,13 @@
 """Dobinski-series evaluation of the two-parameter Bell function.
 
 B(p, beta) = e^{-beta} * sum_{k>=0} k^p beta^k / k!  is the p-th moment of
-a Poisson(beta) variable.  The series is the ground-truth evaluator here;
-an exact Stirling-number (Touchard) path serves as the independent oracle
-for integer p.  Every value travels as a natural log and is exponentiated
-only at the presentation layer: B(p, 1) already overflows double precision
-near p ~ 170.  in_range is the one exit from log space: it returns a
-finite double or raises DomainError.
+a Poisson(beta) variable.  The series, summed term by term below beta =
+TRAPEZOID_MIN_BETA and by a trapezoid rule over every h-th term above, is
+the ground-truth evaluator here; an exact Stirling-number (Touchard) path
+serves as the independent oracle for integer p.  Every value travels as a
+natural log and is exponentiated only at the presentation layer: B(p, 1)
+already overflows double precision near p ~ 170.  in_range is the one
+exit from log space: it returns a finite double or raises DomainError.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from functools import lru_cache
 from .errors import BudgetError, DomainError
 
 P_MAX = 500.0  # the largest exponent the series evaluator accepts
-DEFAULT_TERM_BUDGET = 500_000
 
 
 class Regime(Enum):
@@ -57,12 +57,16 @@ class BellQuery:
 class EvalResult:
     """A positive value in log-space with a two-part error certificate.
 
-    tail_bound_log is the log of a certified upper bound on the omitted
-    tails (truncation), relative to the returned value.  rounding_bound_log
-    is the log of a forward-error bound on the floating-point error of
-    log_value, expressed as a relative error of the value.  The total
-    relative error is at most the sum of the two; it is at most the
-    requested tol whenever the rounding part is at most tol/2.
+    tail_bound_log is the log of a certified upper bound on the method
+    error, relative to the returned value: the omitted tails of the
+    series, or everything the trapezoid rule leaves out.
+    rounding_bound_log is the log of a forward-error bound on the
+    floating-point error of log_value, expressed as a relative error of
+    the value.  The total relative error is at most the sum of the two; it
+    is at most the requested tol whenever the rounding part is at most
+    tol/2.  method names the evaluator, "Series" or "Trapezoid";
+    terms_used counts the terms it summed, which are the nodes of the
+    trapezoid rule.
     """
 
     log_value: float
@@ -70,6 +74,7 @@ class EvalResult:
     tail_bound_log: float
     peak_index: int
     rounding_bound_log: float
+    method: str = "Series"
 
     @property
     def value(self) -> float:
@@ -77,8 +82,11 @@ class EvalResult:
         return in_range("value", math.exp, self.log_value)
 
     def root(self, p: float) -> float:
-        """value**(1/p), the B^{1/p} scale."""
-        return math.exp(self.log_value / p)
+        """value**(1/p), the B^{1/p} scale; DomainError unless p > 0 and
+        the root is a finite double."""
+        if not p > 0:
+            raise DomainError(f"root needs p > 0, got {p!r}")
+        return in_range("root", math.exp, self.log_value / p)
 
 
 def in_range(what: str, f, *args) -> float:
@@ -115,16 +123,26 @@ _LOG_FACTORIAL = tuple(math.log(math.factorial(k))
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _poisson_deviance(x: float, beta: float) -> tuple[float, float]:
-    """The Poisson deviance D = x log(x/beta) + beta - x >= 0, and the
-    magnitude of the operands that enter it (for rounding bounds).
+def _poisson_deviance(x: float, beta: float,
+                      d: float | None = None) -> tuple[float, float]:
+    """The Poisson deviance D = x log(x/beta) + beta - x >= 0, and a
+    first-order bound on its rounding error, in units of _U.
 
-    Near x = beta, D is summed as a series in v = (x - beta)/(x + beta),
+    d = x - beta, if given, was formed exactly elsewhere; x and d may each
+    carry one rounding of their own (x = float(k) past 2**53).  Near
+    x = beta, D is summed as a series in v = (x - beta)/(x + beta),
     D = (x - beta) v + 2x (v^3/3 + v^5/5 + ...), so no x-sized operands
-    cancel; away from it the closed form loses at most a few digits of a
-    quantity of size x.
+    cancel.  There |v| < 0.1, d v = (x + beta) v^2 carries 5 roundings,
+    the odd part, at most 0.037 d v, fewer than 27, the terms from v^17 on
+    are below 0.6 D and the last sum adds one: 9 D in all.  Away from it
+    the closed form loses at most a few digits of a quantity of size x:
+    the quotient and log put 1 + 2|log(x/beta)| units on the log (its
+    operands' logs, where x/beta overflows), so lr = x log(x/beta) errs by
+    x + 3|lr|, a rounded x moves D by |dD/dx| x u = |lr| u more, and the
+    two sums add |lr + beta| and |D|.
     """
-    d = x - beta
+    if d is None:
+        d = x - beta
     half_sum = 0.5 * x + 0.5 * beta  # (x + beta)/2, finite up to DBL_MAX
     if abs(d) < 0.2 * half_sum:
         v = 0.5 * d / half_sum
@@ -132,30 +150,50 @@ def _poisson_deviance(x: float, beta: float) -> tuple[float, float]:
         dev = d * v + x * v * v2 * (1.0 / 3 + v2 * (1.0 / 5 + v2 * (
             1.0 / 7 + v2 * (1.0 / 9 + v2 * (1.0 / 11 + v2 * (
                 1.0 / 13 + v2 / 15)))))) * 2.0
-        return dev, dev
+        return dev, 9.0 * dev
     ratio = x / beta  # overflows only for subnormal beta
-    lr = x * (math.log(ratio) if ratio < math.inf
-              else math.log(x) - math.log(beta))
-    return lr + beta - x, abs(lr) + beta + x
+    if ratio < math.inf:
+        log_ratio = math.log(ratio)
+        log_err = 1.0 + 2.0 * abs(log_ratio)
+    else:
+        log_x, log_b = math.log(x), math.log(beta)
+        log_ratio = log_x - log_b
+        log_err = 2.0 * (abs(log_x) + abs(log_b)) + log_ratio
+    lr = x * log_ratio
+    dev = lr + beta - x
+    return dev, x * log_err + 2.0 * abs(lr) + abs(lr + beta) + abs(dev)
 
 
 def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
     """log of the Poisson(beta) mass at k, k log beta - beta - log k!, and
-    the magnitude of the operands that enter it (for the rounding bound).
+    a first-order bound on its rounding error, in units of _U.
 
     Beyond the exact table this is -(D + log(2 pi k)/2 + R), with D the
-    Poisson deviance and R the Stirling remainder of log k!.
+    Poisson deviance and R the Stirling remainder of log k!, which errs by
+    less than its first omitted term, 691/(360360 k^11) < u/10.  From
+    2**52 beta is an integer and k - beta is formed exactly, so D keeps
+    its digits where k has no double.  The bound, term by term: in the
+    table, log_beta errs by 2|log beta| units, so k log_beta by
+    3|k log beta|, the correctly rounded log k! by log k!, and each
+    difference by its result.  Beyond it, log(2 pi k)/2 errs by at most
+    3 times itself, each of the two sums by its result, and R by less
+    than 1.
     """
     if k <= _LOG_FACTORIAL_MAX:
         lf = _LOG_FACTORIAL[k]
-        return k * log_beta - lf - beta, k * abs(log_beta) + lf + beta
-    dev, mag = _poisson_deviance(k, beta)
+        kl = k * log_beta
+        head = kl - lf
+        value = head - beta
+        return value, 3.0 * abs(kl) + lf + abs(head) + abs(value)
     x = float(k)
+    d = float(k - int(beta)) if beta >= _INTEGER_FLOATS else k - beta
+    dev, err = _poisson_deviance(x, beta, d)
     r = 1.0 / (x * x)
     rem = (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680
            - r / 1188) * r) * r) * r) / x
     half_log = _HALF_LOG_2PI + 0.5 * math.log(x)
-    return -(dev + half_log + rem), mag + half_log + rem
+    head = dev + half_log
+    return -(head + rem), err + 3.0 * half_log + 2.0 * head + 1.0
 
 
 def log_term(k: int, p: float, beta: float) -> float:
@@ -244,98 +282,117 @@ def peak_index(p: float, beta: float) -> int:
 def _direct_term(k: int, p: float, m: int, beta: float, log_beta: float,
                  log_pois_m: float) -> tuple[float, float]:
     """The k-th Dobinski term over the m-th, t_k / t_m, from _log_poisson,
-    and a bound on its relative error in units of _U."""
-    log_pow = p * math.log1p((k - m) / m)
-    log_pois, mag = _log_poisson(k, beta, log_beta)
-    d_pois = log_pois - log_pois_m
-    return (math.exp(log_pow + d_pois),
-            5.0 * abs(log_pow) + 6.0 * mag + 2.0 * abs(d_pois) + 2.0)
+    and a first-order bound on its relative error in units of _U.
 
-
-def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
-    """Evaluate log B(p, beta) with a certified relative error.
-
-    B(0, beta) = 1, the Poisson total mass, is returned in closed form:
-    log_value 0, no terms, no truncation and no rounding error.  For p > 0
-    the term t_0 is 0, so the walk below stops at k = 1.
-
-    Summation starts at the largest term (peak_index) and walks outward in
-    both directions, each term scaled by the peak term, with Kahan
-    compensation.  The term ratio is strictly decreasing, so on either
-    side each step away from the peak shrinks the terms by a ratio no
-    larger than the step before: with r the ratio of a side's last step,
-    its remaining tail is at most t r / (1 - r), t its last term.  A side's
-    bound is used once its r is below 1, and the side with the larger
-    bound takes the next term.  The terms are Gaussian-like with width
-    ~sqrt(beta + p), so the cost is O(sqrt(beta) * sqrt(log(1/tol))) terms
-    at large beta, and O(log(beta + p)) to find the peak.
-
-    Each term is its neighbour times the term ratio,
-    (beta / (k + 1)) * (1 + 1/k)^p walking right and its inverse walking
-    left, except every _REANCHOR-th term of a side: those are built
-    directly from _log_poisson, which costs several times as much.  A
-    forward-error bound on rounding is kept alongside:
-    from the operands of the peak term, each term's own error, the sum and
-    the final addition.  A direct term's error is bounded from its
-    operands; a ratio step adds 6 + 4p/k units of roundoff to the error of
-    the term it starts from.  Summation stops once truncation
-    <= tol - rounding, so tol bounds the total error whenever rounding
-    <= tol/2.  Otherwise (only when |log B| runs to several hundred or
-    more, where log_value's own ulp approaches tol) truncation is pushed
-    to tol/2 and the returned certificate honestly exceeds tol.  p above
-    P_MAX is refused, and a sum not certified within
-    DEFAULT_TERM_BUDGET terms raises BudgetError: before summing when the
-    tail bounds half the budget away from the peak show it cannot certify.
+    The int quotient (k - m)/m is rounded once, which moves log1p by
+    |k - m|/k units; log1p and the product by p add 3|log_pow|; the
+    Poisson log brings its own bound (that of log_pois_m cancels against
+    the peak's); the difference, the sum and exp add |d_pois|,
+    |log_pow| + |d_pois| and 2.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
-    if q.p > P_MAX:
-        raise DomainError(f"p={q.p} exceeds p_max={P_MAX}")
+    log_pow = p * math.log1p((k - m) / m)
+    log_pois, err = _log_poisson(k, beta, log_beta)
+    d_pois = log_pois - log_pois_m
+    return (math.exp(log_pow + d_pois), p * abs(k - m) / k
+            + 4.0 * abs(log_pow) + err + 2.0 * abs(d_pois) + 2.0)
 
-    p, beta = q.p, q.beta
+
+# From this beta on, bell_dobinski sums by the trapezoid rule, which at
+# p <= 10 breaks even with the unit-step series between beta = 150 and 200.
+TRAPEZOID_MIN_BETA = 200.0
+
+
+def _trapezoid_step(p: float, m: int, tol: float):
+    """(h, alias, floor) of the trapezoid rule that replaces the series, or
+    None where it cannot certify tol.
+
+    The series S is the unit-step sum of f(x) = x^p beta^x e^-beta /
+    Gamma(x + 1), analytic for Re x > 0, over the integers; the rule
+    T = h sum_j f(m + j h), h odd, has integer nodes, where f is a term.
+    With A and D the half-integers h/2 beyond the outer nodes and
+    I = int_A^D f, |S - T| <= (S outside [A, D]) + |S_AD - I| + |I - T|.
+
+    Strip: by the Weierstrass product of 1/Gamma,
+    |Gamma(x+1)/Gamma(x+1+iy)|^2 = prod_{n>=1} (1 + y^2/(x+n)^2)
+    <= exp(y^2 psi'(x+1)), psi'(x+1) = sum_{n>=1} (x+n)^-2 <= 1/x, and
+    |(x+iy)^p| = x^p (1 + y^2/x^2)^(p/2), so |f(x+iy)| <= f(x) e^(c y^2/2)
+    with c(x) = p/x^2 + 1/x, decreasing in x.
+
+    Trapezoid errors (Trefethen & Weideman, SIAM Review 2014, sec. 5): for
+    nodes spaced s in {1, h} and A, D half-way between nodes, the residues
+    of f(z) pi cot(pi (z - m)/s) in [A, D] x [-a, a] give T_s - I =
+    -int f q/(1 - q) dz, q = e^(2 pi i (z - m)/s), on the boundary's upper
+    half, and its mirror below.  |q/(1 - q)| is at most
+    1/(e^(2 pi a/s) - 1) on the horizontal edges and e^(-2 pi |y|/s) on
+    the vertical ones, where q = -e^(-2 pi |y|/s).  With c_A >= c on
+    [A, D] and a = 2 pi/(s c_A), c y^2/2 <= pi |y|/s for |y| <= a, so
+    |T_s - I| <= I csch(g_s) + (2 s/pi) (f(A) + f(D)), g_s = 2 pi^2/(s^2 c_A).
+    Taking c_A = c(floor) and I <= (T + edges)/(1 - csch(g_h)), both
+    aliasing terms are at most alias (T + edges).
+
+    Edges and tails: (log f)'' = -p/x^2 - psi'(x+1) < 0, so with
+    rho(x) = log(f(x+1)/f(x)), f(y) <= f(x) e^((y-x) rho(x)) for y >= x + 1
+    and f(y) <= f(x) e^((y-x) rho(x-1)) for y <= x - 1.  rho decreases, so
+    log r, r = (w/prev)^(1/h) over a side's last step, bounds rho(k) at
+    the outer node from above on the right and rho(k - 1) from below on
+    the left.  A side then adds at most w r^(h/2) (2 (h+1)/pi +
+    r^(1/2)/(1 - r)): f at its edge, and the geometric tail of S.
+
+    floor, (sqrt(2 log(2/tol)) + 2) standard deviations below m, is where
+    f has fallen far below tol; h is the largest odd step with
+    g_h >= log(16/min(tol, 8u)), so that aliasing takes at most tol/8 and
+    leaves the value as exact as the series'.  Without floor > 0 and
+    h >= 3: None.
+    """
+    var = m / (1.0 + p / m)  # 1/c(m)
+    log_tol = math.log(tol)  # 1/tol overflows at subnormal tol
+    far = math.sqrt(2.0 * (math.log(2.0) - log_tol)) + 2.0
+    floor = m - far * math.sqrt(var)
+    if floor <= 0.0:
+        return None
+    sd_a = math.sqrt(floor / (1.0 + p / floor))  # c(floor)^(-1/2)
+    g_min = math.log(16.0) - min(log_tol, math.log(8.0 * _U))
+    h = 2 * int(0.5 * math.pi * sd_a * math.sqrt(2.0 / g_min) - 0.5) + 1
+    if h < 3:
+        return None
+    g_h = 2.0 * (math.pi * sd_a / h) ** 2
+    a_h, a_1 = (2.0 * math.exp(-g) / -math.expm1(-2.0 * g)  # csch(g)
+                for g in (g_h, g_h * h * h))
+    return h, (a_h + a_1) / (1.0 - a_h), floor
+
+
+def _peak(p: float, beta: float, m: int):
+    """log beta, the peak's Poisson log with its error bound, log t_m, and
+    the part of log_value's rounding error that comes from log t_m.
+
+    First-order rounding model.  Errors in p*log(m) (and in float(m), past
+    2**53) and in the addition forming log t_m shift log_value directly.
+    An error in a term moves log_value by that error times the term's share
+    of the sum.  A direct term's offset subtracts the computed log_pois_m,
+    which cancels the peak's Poisson error against log t_m, so it carries
+    its own Poisson error; the peak, and the terms built from it by exact
+    ratios, carry the peak's.  The walks keep the latter, weighted, in
+    off_err (in units of _U).
+    """
     log_beta = math.log(beta)
-    m = peak_index(p, beta)
-    if p == 0:
-        return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
-                          peak_index=m, rounding_bound_log=-math.inf)
-    # The sum cannot stop while one side's tail bound t_k r / (1 - r), which
-    # shrinks as k leaves the peak, exceeds tol times the sum, and the sum
-    # is at most B <= U = (beta + ceil(p))^p.  For Poisson X, Stein's
-    # identity gives E X^n = beta E (X + 1)^(n-1), so by Minkowski and
-    # induction on n, ||X||_n^n <= beta (||X||_(n-1) + 1)^(n-1) <=
-    # (beta + n)^n, and by Lyapunov ||X||_p <= ||X||_ceil(p).
-    # Where both sides' bounds half the budget away exceed
-    # tol * U by 1%, refuse at once: the logs compared, and the sum against
-    # B, carry errors far below 1%.
-    budget, half = DEFAULT_TERM_BUDGET, DEFAULT_TERM_BUDGET // 2
-    if m > half + 1:  # past k = 1, where the left tail is 0
-        log_u = p * math.log(beta + math.ceil(p))
-        # log(1/r) of the steps to t_{m+half} and t_{m-half}, r < 1
-        steps = ((m + half, -_log_term_ratio(m + half - 1, p, beta, log_beta)),
-                 (m - half, _log_term_ratio(m - half, p, beta, log_beta)))
-        if all(x <= 0.0 or log_term(k, p, beta) - math.log(math.expm1(x))
-               > math.log(tol) + log_u + 0.01 for k, x in steps):
-            budget = 0
-    log_pois_m, mag_m = _log_poisson(m, beta, log_beta)
+    log_pois_m, err_m = _log_poisson(m, beta, log_beta)
     log_pow_m = p * math.log(m)
     log_peak = log_pow_m + log_pois_m
-    # First-order rounding model.  Errors in p*log(m) and in the addition
-    # forming log_peak shift log_value directly.  An error in a term moves
-    # log_value by that error times the term's share of the sum.  A direct
-    # term's offset subtracts the computed log_pois_m, which cancels the
-    # peak's Poisson error against log_peak, so it carries its own Poisson
-    # error; the peak, and the terms built from it by exact ratios, carry
-    # the peak's.  peak_err and off_err (the weighted sum, in units of _U)
-    # keep the two parts.
-    peak_err = _U * (3.0 * abs(log_pow_m) + abs(log_peak))
-    off_err = 6.0 * mag_m
+    return log_beta, log_pois_m, err_m, log_peak, _U * (
+        3.0 * abs(log_pow_m) + abs(log_peak) + (p if m > 2**53 else 0.0))
+
+
+def _series(p: float, beta: float, m: int, tol: float) -> EvalResult:
+    """The unit-step walk of bell_dobinski, from the peak m."""
+    log_beta, log_pois_m, err_m, log_peak, peak_err = _peak(p, beta, m)
+    off_err = err_m
     # s sums the terms scaled by the peak term, which contributes 1.
     s, c = 1.0, 0.0
     terms = 1
     right = left = m
     right_w = left_w = 1.0
     # relative error bound of each side's last term, in units of _U
-    right_e = left_e = 6.0 * mag_m
+    right_e = left_e = err_m
     exp, log1p, inf = math.exp, math.log1p, math.inf
     right_tail = inf
     left_tail = 0.0 if m == 1 else inf
@@ -349,10 +406,6 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
                                   + _U * (2.0 * log_s + abs(log_peak + log_s)))
             if tails <= (tol - min(rounding, 0.5 * tol)) * s:
                 break
-        if terms >= budget:
-            raise BudgetError(
-                f"series for (p={p}, beta={beta}) did not certify tol={tol} "
-                f"within {DEFAULT_TERM_BUDGET} terms")
         if right_tail >= left_tail:
             k = right + 1
             if (k - m) % _REANCHOR == 0:
@@ -388,6 +441,106 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
         peak_index=m,
         rounding_bound_log=math.log(rounding),
     )
+
+
+def _trapezoid(p: float, beta: float, m: int, tol: float, h: int,
+               alias: float, floor: float) -> EvalResult | None:
+    """The trapezoid rule of _trapezoid_step, walked from the peak m as the
+    series is, over the nodes m + j h; None where one would pass below
+    floor.  The product h s adds a unit to the series' rounding bound."""
+    log_beta, log_pois_m, err_m, log_peak, peak_err = _peak(p, beta, m)
+    off_err = err_m
+    s, c = 1.0, 0.0
+    terms = 1
+    edge = 2.0 * (h + 1) / math.pi
+    last = {h: (m, 1.0, math.inf), -h: (m, 1.0, math.inf)}  # node, w, tail
+    while True:
+        edges = last[h][2] + last[-h][2]
+        tails = edges + alias * (h * s + edges)
+        if tails <= tol * h * s:
+            log_s = math.log(h * s)
+            rounding = math.expm1(peak_err + _U * (
+                off_err / s + 5.0 + 2.0 * log_s + abs(log_peak + log_s)))
+            if tails <= (tol - min(rounding, 0.5 * tol)) * h * s:
+                break
+        step = h if last[h][2] >= last[-h][2] else -h
+        k, prev, _ = last[step]
+        k += step
+        if k - 0.5 * h < floor:
+            return None
+        w, e = _direct_term(k, p, m, beta, log_beta, log_pois_m)
+        # this side's edge and tail, as in _trapezoid_step; past a node that
+        # underflowed to 0 they are far below the least double times T
+        tail = math.inf if w >= prev else 0.0
+        if 0.0 < w < prev:
+            log_r = math.log(w / prev) / h
+            tail = w * math.sqrt(w / prev) * (
+                edge + math.exp(0.5 * log_r) / -math.expm1(log_r))
+        last[step] = k, w, tail
+        off_err += w * e
+        y = w - c  # Kahan step
+        t = s + y
+        c = (t - s) - y
+        s = t
+        terms += 1
+
+    return EvalResult(
+        log_value=log_peak + log_s,
+        terms_used=terms,
+        tail_bound_log=math.log(tails) - log_s if tails else -math.inf,
+        peak_index=m,
+        rounding_bound_log=math.log(rounding),
+        method="Trapezoid",
+    )
+
+
+def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
+    """Evaluate log B(p, beta) with a certified relative error.
+
+    B(0, beta) = 1, the Poisson total mass, is returned in closed form:
+    log_value 0, no terms, no truncation and no rounding error.  For p > 0
+    the term t_0 is 0, so the walk below stops at k = 1.
+
+    Summation starts at the largest term (peak_index) and walks outward in
+    both directions, each term scaled by the peak term, with Kahan
+    compensation.  The term ratio is strictly decreasing, so on either
+    side each step away from the peak shrinks the terms by a ratio no
+    larger than the step before: with r the ratio of a side's last step,
+    its remaining tail is at most t r / (1 - r), t its last term.  A side's
+    bound is used once its r is below 1, and the side with the larger
+    bound takes the next term.  The terms are Gaussian-like with width
+    ~sqrt(beta + p), so the series costs O(sqrt(beta) * sqrt(log(1/tol)))
+    terms.  From beta = TRAPEZOID_MIN_BETA on, the trapezoid rule of
+    _trapezoid_step, with step h ~ 0.8 sqrt(beta), walks the same way over
+    every h-th term: a few dozen nodes at any beta up to DBL_MAX.
+
+    Each series term is its neighbour times the term ratio,
+    (beta / (k + 1)) * (1 + 1/k)^p walking right and its inverse walking
+    left, except every _REANCHOR-th term of a side: those, and the
+    trapezoid nodes, are built directly from _log_poisson, which costs
+    several times as much.  A forward-error bound on rounding is kept
+    alongside: from the operands of the peak term, each term's own error,
+    the sum and the final addition.  A ratio step adds 6 + 4p/k units of
+    roundoff to the error of the term it starts from.  Summation stops
+    once the method error <= tol - rounding, so tol bounds the total
+    error whenever rounding <= tol/2.  Otherwise (only when |log B| runs
+    to several hundred or more, where log_value's own ulp approaches tol)
+    the method error is pushed to tol/2 and the returned certificate
+    honestly exceeds tol.  p above P_MAX is refused.
+    """
+    if not (0.0 < tol <= 1e-3):
+        raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
+    if q.p > P_MAX:
+        raise DomainError(f"p={q.p} exceeds p_max={P_MAX}")
+
+    p, beta = q.p, q.beta
+    m = peak_index(p, beta)
+    if p == 0:
+        return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
+                          peak_index=m, rounding_bound_log=-math.inf)
+    step = _trapezoid_step(p, m, tol) if beta >= TRAPEZOID_MIN_BETA else None
+    return ((step and _trapezoid(p, beta, m, tol, *step))
+            or _series(p, beta, m, tol))
 
 
 @lru_cache(maxsize=64)

@@ -191,7 +191,7 @@ def suite_inequalities(trials: int = 1000, seed: int = 7) -> list[CheckResult]:
         f"{violations} violations in {trials} trials; max exact/bound ratios "
         f"rosenthal {max_r:.4f}, schechtman {max_s:.4f}"))
 
-    # a, b drawn in [0.1, 10] so mu = a^2/b stays within the series budget.
+    # a, b drawn in [0.1, 10], so mu = a^2/b lies in [1e-3, 1e3].
     rng = np.random.Generator(np.random.Philox(seed + 1))
     worst = 0.0
     for _ in range(100):

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -393,9 +394,8 @@ class TestBoundReport:
         assert rep.lower <= math.sqrt(110) <= rep.upper
         assert rep.kminus is not None and rep.kminus.holds is True
 
-    def test_one_series_call_when_it_fails(self, monkeypatch):
-        # beta = 1e10 is past the series budget; the K- flag rests on Jensen,
-        # so the report does not run the series a second time for it
+    @staticmethod
+    def count_series_calls(monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -403,11 +403,33 @@ class TestBoundReport:
             return bell_dobinski(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "bell_dobinski", counted)
-        rep = bound_report(BellQuery(2, 1e10))
+        return calls
+
+    def test_one_series_call_when_it_fails(self, monkeypatch):
+        # p = 600 is past P_MAX; the K- flag rests on Jensen, so the report
+        # does not run the series a second time for it
+        calls = self.count_series_calls(monkeypatch)
+        rep = bound_report(BellQuery(600, 1e10))
         assert len(calls) == 1
         assert len([e for e in rep.errors if e.startswith("series:")]) == 1
         assert rep.lower == 1e10 and rep.lower_method == "Jensen"
         assert math.isfinite(rep.upper) and rep.upper_method == "GOptimized"
+        assert rep.kminus.holds is True
+
+    def test_series_past_the_former_budget(self, monkeypatch):
+        # beta = 1e10 exceeded the series' old 500k-term budget; now the
+        # report's one series call certifies B(2, beta) = beta^2 + beta
+        calls = self.count_series_calls(monkeypatch)
+        beta = 1e10
+        rep = bound_report(BellQuery(2, beta))
+        res = bell_dobinski(BellQuery(2, beta))
+        assert len(calls) == 1 and rep.errors == ()
+        exact = Fraction(beta) ** 2 + Fraction(beta)
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= math.exp(res.tail_bound_log) + math.exp(
+            res.rounding_bound_log) + 2.3e-16
+        assert rep.series_root == res.root(2)
+        assert rep.lower == beta <= rep.series_root <= rep.upper
         assert rep.kminus.holds is True
 
     def test_boundary_tie(self):

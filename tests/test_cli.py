@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellbound import BellQuery, bell_dobinski, bounds, verify
+from bellbound import BellQuery, applications, bell_dobinski, bounds, verify
 from bellbound.cli import build_parser, main
 
 
@@ -82,12 +82,29 @@ class TestEval:
         keys = [line.split(" ", 1)[0] for line in out.splitlines()]
         assert keys[-2:] == ["tail_bound_rel", "rounding_bound_rel"]
 
-    def test_budget_error_exit_3(self, capsys):
-        # beta = 1e13 needs tens of millions of terms, far past the budget
-        code = main(["eval", "--p", "2", "--beta", "1e13"])
+    @pytest.mark.parametrize("p, beta, method", [
+        (3.0, 1.0, "Series"), (2.0, 1e13, "Trapezoid")])
+    def test_method_line(self, capsys, p, beta, method):
+        # beta = 1e13 was refused for the series' term budget
+        code, out = run_main(["eval", "--p", str(p), "--beta", str(beta)], capsys)
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        assert code == 0 and fields["method"] == method
+        assert list(fields)[-3:] == ["method", "tail_bound_rel",
+                                     "rounding_bound_rel"]
+        res = bell_dobinski(BellQuery(p, beta))
+        assert float(fields["log_value"]) == res.log_value
+        assert int(fields["terms_used"]) == res.terms_used
+
+    def test_budget_error_exit_3(self, capsys, tmp_path, monkeypatch):
+        # at p = 2.5 the exact moment enumerates all 8**8 outcome tuples of
+        # this family, past ENUM_BUDGET; no eval has a budget any more
+        path = tmp_path / "family.txt"
+        path.write_text((",".join(f"{i}:0.125" for i in range(8)) + "\n") * 8)
+        monkeypatch.setattr(applications, "FAMILY_P", (2.5,))
+        code = main(["verify", "--instances", str(path)])
         err = capsys.readouterr().err
         assert code == 3
-        assert "budget" in err
+        assert "budget error: enumeration exceeds" in err
 
 
 class TestBounds:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bellbound import (
     BellQuery,
-    BudgetError,
     DomainError,
     Regime,
     bell_dobinski,
@@ -111,6 +110,34 @@ class TestDobinski:
         res = bell_dobinski(BellQuery(300, 1.0))  # log_value ~ 1045.3
         with pytest.raises(DomainError, match="double range"):
             res.value
+
+    def test_root_refuses_p_zero_and_overflow(self):
+        # B(0, beta) = 1 has no 1/0-th root; it was a bare ZeroDivisionError
+        with pytest.raises(DomainError, match="p > 0"):
+            bell_dobinski(BellQuery(0, 1.0)).root(0)
+        res = bell_dobinski(BellQuery(300, 1.0))
+        assert res.root(300) == pytest.approx(math.exp(res.log_value / 300))
+        with pytest.raises(DomainError, match="^root = exp.*double range"):
+            res.root(1.0)
+
+    @pytest.mark.parametrize("beta, method", [
+        (199.9, "Series"), (series.TRAPEZOID_MIN_BETA, "Trapezoid"),
+        (1e5, "Trapezoid")])
+    def test_method_switches_at_the_crossover(self, beta, method):
+        assert bell_dobinski(BellQuery(2.5, beta)).method == method
+
+    def test_trapezoid_falls_back_where_it_cannot_certify(self):
+        # at tol = 1e-300 the floor below the peak of beta = 250 is under 0
+        assert series._trapezoid_step(2.0, peak_index(2.0, 250.0), 1e-300) is None
+        res = bell_dobinski(BellQuery(2, 250.0), tol=1e-300)
+        assert res.method == "Series"
+        exact = Fraction(250) ** 2 + 250
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= total_certificate(res) + 2.3e-16
+        # and a walk whose next node would pass below its floor gives up
+        m = peak_index(2.0, 1e4)
+        h, alias, _ = series._trapezoid_step(2.0, m, 1e-12)
+        assert series._trapezoid(2.0, 1e4, m, 1e-12, h, alias, m - h) is None
 
 
 class TestInRange:
@@ -215,6 +242,26 @@ def total_certificate(res) -> float:
     return math.exp(res.tail_bound_log) + math.exp(res.rounding_bound_log)
 
 
+def log_error(res, exact, mpmath) -> float:
+    """|value / exact - 1|, at 50 digits, for values past the double range."""
+    with mpmath.workdps(50):
+        if isinstance(exact, Fraction):
+            exact = mpmath.mpf(exact.numerator) / exact.denominator
+        return float(abs(mpmath.expm1(mpmath.mpf(res.log_value)
+                                      - mpmath.log(exact))))
+
+
+def unit_steps(p, beta, tol=1e-12):
+    """The series summed term by term, at any beta."""
+    return series._series(p, beta, peak_index(p, beta), tol)
+
+
+def trapezoid(p, beta, tol=1e-12):
+    """The trapezoid rule, at any beta where it can certify tol."""
+    m = peak_index(p, beta)
+    return series._trapezoid(p, beta, m, tol, *series._trapezoid_step(p, m, tol))
+
+
 class TestCertificate:
     @pytest.mark.parametrize("p", [2, 5, 10, 30])
     @pytest.mark.parametrize("beta", [1e3, 1e4, 1e5])
@@ -268,48 +315,73 @@ class TestCertificate:
         err = float(abs(Fraction(res.value) - exact) / exact)
         assert err <= total_certificate(res) + 2.3e-16
 
-    def test_beta_1e10_exceeds_budget(self):
-        with pytest.raises(BudgetError):
-            bell_dobinski(BellQuery(2, 1e10))
+    def test_beta_1e10_certified(self):
+        # past the old 500k-term budget; the trapezoid rule needs few nodes
+        beta = 1e10
+        res = bell_dobinski(BellQuery(2, beta))
+        assert res.method == "Trapezoid" and res.terms_used <= 40
+        exact = Fraction(beta) ** 2 + Fraction(beta)
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= total_certificate(res) + 2.3e-16
 
     @pytest.mark.parametrize("beta", [1.263e9, 1e10, 1e16, 8e307,
                                       sys.float_info.max])
     def test_refused_before_summing(self, beta, monkeypatch):
-        # the tail bounds half the budget from the peak show that the
-        # budget cannot suffice, so no term is summed, and the closed-form
-        # U = (beta + ceil(p))^p needs no Lambert W nor MGF bound
+        # p past P_MAX, the one refusal left at these beta, comes before
+        # the peak search and any term (the term budget that refused them
+        # at p <= P_MAX is gone: test_huge_beta_in_few_nodes)
         def refuse(*args):
-            raise AssertionError("a term was summed or W solved")
+            raise AssertionError("the peak was searched or a term summed")
 
-        # the summation builds a term directly within its first 32 steps
-        monkeypatch.setattr(series, "_direct_term", refuse)
-        monkeypatch.setattr(series, "lambert_w", refuse)
-        monkeypatch.setattr(series, "log_mgf_bound", refuse)
+        for name in ("peak_index", "_direct_term", "lambert_w", "log_mgf_bound"):
+            monkeypatch.setattr(series, name, refuse)
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match="within 500000 terms"):
-            bell_dobinski(BellQuery(2, beta))
+        with pytest.raises(DomainError, match="exceeds p_max"):
+            bell_dobinski(BellQuery(series.P_MAX + 0.5, beta))
         assert time.perf_counter() - start < 0.05
 
+    @pytest.mark.parametrize("beta", [1.263e9, 1e10, 1e16, 8e307,
+                                      sys.float_info.max])
+    def test_huge_beta_in_few_nodes(self, beta):
+        # B(2, beta) = beta^2 + beta, answered in well under a millisecond
+        # of work where the series refused before summing
+        mpmath = pytest.importorskip("mpmath")
+        start = time.perf_counter()
+        res = bell_dobinski(BellQuery(2, beta))
+        assert time.perf_counter() - start < 0.05
+        assert res.method == "Trapezoid" and res.terms_used <= 40
+        exact = Fraction(beta) ** 2 + Fraction(beta)
+        assert log_error(res, exact, mpmath) <= total_certificate(res) + 2.3e-16
+
     @pytest.mark.parametrize("p", [0.5, 2.0])
-    def test_refusal_up_front_is_sound(self, p, monkeypatch):
-        # just past the smallest beta refused up front (~1.263e9 with the 1%
-        # margin; ~1.3142e9 with the factor e it replaced), the sum itself,
-        # with the check disabled (log_term is not used by the summation
-        # loop), also runs out of budget
-        betas = (1.263e9, 1.3142e9)
-        for beta in betas:
-            with pytest.raises(BudgetError):
-                bell_dobinski(BellQuery(p, beta))
-        monkeypatch.setattr(series, "log_term", lambda *args: -math.inf)
-        for beta in betas:
-            with pytest.raises(BudgetError):
-                bell_dobinski(BellQuery(p, beta))
+    def test_former_refusal_band_certified(self, p):
+        # [1.227e9, 1.263e9] summed 500k terms before refusing, and beta
+        # above was refused up front; B(0.5, beta) is checked against the
+        # 40-digit integral of the continued term, which differs from the
+        # sum by far less than 1e-30 here (_trapezoid_step, with s = 1)
+        mpmath = pytest.importorskip("mpmath")
+        for beta in (1.227e9, 1.263e9, 1.3142e9):
+            res = bell_dobinski(BellQuery(p, beta))
+            assert res.method == "Trapezoid"
+            if p == 2.0:
+                exact = Fraction(beta) ** 2 + Fraction(beta)
+            else:
+                with mpmath.workdps(40):
+                    b, sd = mpmath.mpf(beta), mpmath.sqrt(beta)
+                    exact = mpmath.quad(
+                        lambda x: mpmath.exp(p * mpmath.log(x) + x * mpmath.log(b)
+                                             - b - mpmath.loggamma(x + 1)),
+                        [b + i * sd for i in range(-40, 41, 4)])
+            assert log_error(res, exact, mpmath) <= total_certificate(res) + 2.3e-16
 
     @given(p=st.one_of(st.integers(0, 500).map(float), st.floats(0.0, 500.0)),
            beta=st.floats(-3.0, 6.0).map(lambda t: 10.0**t))
     @settings(max_examples=60, deadline=None)
     def test_below_refusal_bound(self, p, beta):
-        # B(p, beta) <= (beta + ceil(p))^p, the U of the up-front refusal
+        # B(p, beta) <= (beta + ceil(p))^p, once the bound of the series'
+        # up-front refusal: for Poisson X, E X^n = beta E (X + 1)^(n-1)
+        # (Stein), so ||X||_n <= beta + n by Minkowski and induction, and
+        # ||X||_p <= ||X||_ceil(p) (Lyapunov)
         res = bell_dobinski(BellQuery(p, beta))
         assert res.log_value <= p * math.log(beta + math.ceil(p)) + (
             total_certificate(res))
@@ -326,7 +398,109 @@ class TestCertificate:
         assert err <= total_certificate(res) + 2.3e-16
 
     def test_several_reanchors(self):
-        assert bell_dobinski(BellQuery(5, 1e5)).terms_used > 4 * _REANCHOR
+        assert unit_steps(5.0, 1e5).terms_used > 4 * _REANCHOR
+
+
+def certificate_holds(res, err, tol):
+    """err within the certificate, and the method error within tol less
+    the rounding it must leave room for."""
+    tail, rounding = math.exp(res.tail_bound_log), math.exp(res.rounding_bound_log)
+    return err <= tail + rounding + 2.3e-16 and tail <= tol - min(rounding, tol / 2)
+
+
+class TestTrapezoid:
+    @given(p=st.floats(1e-3, 500.0),
+           beta=st.floats(math.log10(series.TRAPEZOID_MIN_BETA), 6.0).map(
+               lambda t: 10.0**t),
+           tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]))
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_unit_steps(self, p, beta, tol):
+        trap, steps = trapezoid(p, beta, tol), unit_steps(p, beta, tol)
+        assert trap.method == "Trapezoid" and steps.method == "Series"
+        diff = abs(math.expm1(trap.log_value - steps.log_value))
+        assert diff <= total_certificate(trap) + total_certificate(steps)
+        assert certificate_holds(trap, 0.0, tol)
+
+    @given(p=st.integers(1, 30), beta=st.floats(
+        math.log10(series.TRAPEZOID_MIN_BETA), 15.0).map(lambda t: 10.0**t),
+           tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]))
+    @settings(max_examples=100, deadline=None)
+    def test_vs_exact_touchard(self, p, beta, tol):
+        mpmath = pytest.importorskip("mpmath")
+        res = bell_dobinski(BellQuery(float(p), beta), tol=tol)
+        assert res.method == "Trapezoid"
+        exact = bell_touchard_exact(p, Fraction(beta))
+        assert certificate_holds(res, log_error(res, exact, mpmath), tol)
+
+    @pytest.mark.parametrize("beta", [1e4, 1e100, sys.float_info.max])
+    def test_smallest_tol_stays_on_the_rule(self, beta):
+        # the series fallback would need ~1e51 terms at beta = 1e100
+        start = time.perf_counter()
+        res = bell_dobinski(BellQuery(2, beta), tol=5e-324)
+        assert time.perf_counter() - start < 0.5
+        assert res.method == "Trapezoid"
+        assert math.exp(res.tail_bound_log) <= 5e-324
+
+    def test_node_count_flat_in_beta(self):
+        counts = [bell_dobinski(BellQuery(2.0, 10.0**t)).terms_used
+                  for t in range(3, 309, 15)]
+        assert max(counts) <= 40
+
+
+class TestPoissonRounding:
+    @staticmethod
+    def error_in_units(k, beta):
+        # |computed - exact| of log Poisson(beta)(k), over its bound
+        mpmath = pytest.importorskip("mpmath")
+        got, err = series._log_poisson(k, beta, math.log(beta))
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            want = k * mpmath.log(b) - b - mpmath.loggamma(k + 1)
+            return float(abs(got - want) / series._U), err
+
+    def test_peak_of_60_8_at_181_96(self):
+        # the closed-form deviance was charged 6 * 480.7 = 2884 units
+        # against a first-order error of a few hundred
+        seen, err = self.error_in_units(235, 181.96)
+        assert seen <= err < 1000
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-12
+        res = bell_dobinski(BellQuery(60.8, 181.96), tol=tol)
+        assert math.exp(res.rounding_bound_log) < tol / 2
+        with mpmath.workdps(50):
+            mp, mb = mpmath.mpf(60.8), mpmath.mpf(181.96)
+            total = mpmath.fsum(
+                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
+                           - mpmath.loggamma(k + 1) - mb)
+                for k in range(1, 700))
+        assert certificate_holds(res, log_error(res, total, mpmath), tol)
+
+    @given(beta=st.floats(-3.0, 20.0).map(lambda t: 10.0**t),
+           spread=st.floats(-1.5, 1.5), small=st.integers(1, 40),
+           use_small=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_error_within_bound(self, beta, spread, small, use_small):
+        # k near beta exercises the deviance series (past 2**53, with a
+        # rounded k), k far from it the closed form, k <= 20 the table
+        k = small if use_small else max(1, round(beta * math.exp(spread)))
+        seen, err = self.error_in_units(k, beta)
+        assert seen <= err
+
+    @given(p=st.floats(1e-3, 500.0), beta=st.floats(-3.0, 3.0).map(
+        lambda t: 10.0**t))
+    @settings(max_examples=30, deadline=None)
+    def test_series_within_certificate(self, p, beta):
+        mpmath = pytest.importorskip("mpmath")
+        tol = 1e-12
+        res = bell_dobinski(BellQuery(p, beta), tol=tol)
+        with mpmath.workdps(50):
+            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
+            k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
+            total = mpmath.fsum(
+                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
+                           - mpmath.loggamma(k + 1) - mb)
+                for k in range(1, k_max))
+        assert certificate_holds(res, log_error(res, total, mpmath), tol)
 
 
 class TestTouchard:
