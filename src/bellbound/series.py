@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetError, DomainError
@@ -568,6 +567,8 @@ def bell_touchard_exact(p: int, beta):
     half an ulp of the exact sum.  beta = 1 reproduces the classical Bell
     numbers.
     """
+    from fractions import Fraction  # only the oracle needs it
+
     if not isinstance(p, int) or p < 0:
         raise DomainError(f"p must be a non-negative integer, got {p!r}")
     if p > TOUCHARD_P_CAP:
@@ -579,6 +580,22 @@ def bell_touchard_exact(p: int, beta):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
     return in_range(f"B({p}, {beta!r})", float,
                     bell_touchard_exact(p, Fraction(b)))
+
+
+def axis(start: float, stop: float, count: int, log: bool = False) -> list[float]:
+    """`count` points from start to stop, evenly spaced or, when `log`,
+    log-spaced, without importing numpy.  The linear points are
+    `start + i*step` with the last set to `stop`, as np.linspace computes
+    them (unless `step` underflows to 0); the log points are `10.0 ** x`
+    over the linear axis of the log10 endpoints, within 1 ulp of
+    np.logspace, whose vectorised pow may round differently."""
+    if count == 1:
+        return [start]
+    if log:
+        return [10.0 ** x
+                for x in axis(math.log10(start), math.log10(stop), count)]
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 def lambert_w(x: float) -> float:

@@ -2,33 +2,19 @@
 reproduction, asymptotic residuals, and the moment-inequality checks.
 
 Each suite returns a list of CheckResult records; the CLI prints one
-pass/fail line per check and the acceptance tests assert on them.
+pass/fail line per check and the acceptance tests assert on them.  The
+suites import `bounds` and `asymptotics` where they check them, so that
+`verify --instances` loads only the applications layer it runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from . import applications, asymptotics, bounds
+from . import applications
 from .applications import FAMILY_P, REL_SLACK
 from .errors import DomainError
-from .series import BellQuery, bell_dobinski, bell_touchard_exact
-
-
-def axis(start: float, stop: float, count: int, log: bool = False) -> list[float]:
-    """`count` points from start to stop, evenly spaced or, when `log`,
-    log-spaced, without importing numpy.  The linear points are
-    `start + i*step` with the last set to `stop`, as np.linspace computes
-    them (unless `step` underflows to 0); the log points are `10.0 ** x`
-    over the linear axis of the log10 endpoints, within 1 ulp of
-    np.logspace, whose vectorised pow may round differently."""
-    if count == 1:
-        return [start]
-    if log:
-        return [10.0 ** x
-                for x in axis(math.log10(start), math.log10(stop), count)]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count - 1)] + [stop]
+from .series import BellQuery, axis, bell_dobinski, bell_touchard_exact
 
 
 # The acceptance grid: 40 log-spaced p in [2, 200] x 12 log-spaced beta
@@ -77,6 +63,8 @@ def suite_sandwich() -> list[CheckResult]:
 
     Every bounds.CANDIDATES entry is checked at every grid point where its
     own guard accepts the point; a DomainError skips it."""
+    from . import bounds
+
     results = []
     violations = []
     dev_by_p: dict[float, float] = {}
@@ -148,6 +136,8 @@ def suite_sandwich() -> list[CheckResult]:
 
 def suite_asymptotics() -> list[CheckResult]:
     """de Bruijn residual decay and the Lambert-W residual bound."""
+    from . import asymptotics
+
     results = []
     norm_resid = []
     for p in (25.0, 50.0, 100.0, 200.0, 300.0):

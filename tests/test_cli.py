@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -376,44 +377,74 @@ class TestAxis:
 
 
 class TestNumpyImport:
-    """Only the `verify` suites load numpy; the scalar commands and
-    `verify --instances` start without it."""
+    """Each command, run in a fresh process, loads the `bellbound` modules
+    it runs and no others.  Only the `verify` suites load numpy, and the
+    series commands start without `fractions`, which only the Touchard
+    oracle and the applications layer use."""
 
     SCRIPT = (
         "import contextlib, io, json, sys\n"
         "import bellbound.cli as cli\n"
-        "steps = [['import', 0, 'numpy' in sys.modules]]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        code = cli.main(argv)\n"
-        "    steps.append([argv[0], code, 'numpy' in sys.modules, out.getvalue()])\n"
-        "print(json.dumps(steps))\n")
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, out.getvalue(), sorted(\n"
+        "    m for m in sys.modules if m.startswith('bellbound.')),\n"
+        "    'numpy' in sys.modules, 'fractions' in sys.modules]))\n")
 
-    def run_fresh(self, argvs):
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
-                               json.dumps(argvs)],
+    # command -> (argv, the bellbound modules it loads, whether it loads
+    # fractions, or None where that is not pinned)
+    COMMANDS = {
+        "eval": (["eval", "--p", "3", "--beta", "1"],
+                 {"cli", "errors", "series"}, False),
+        "bounds": (["bounds", "--p", "10", "--beta", "1", "--format", "json"],
+                   {"bounds", "cli", "errors", "series"}, False),
+        "extremal": (["extremal", "--a", "1", "--b", "2", "--p", "2"],
+                     {"applications", "cli", "errors", "series"}, None),
+        "scan": (["scan", "--p-start", "2", "--p-stop", "100", "--p-count",
+                  "4", "--p-log", "--beta-start", "1", "--beta-stop", "1"],
+                 {"asymptotics", "bounds", "cli", "errors", "series"}, False),
+        "verify": (["verify", "--instances", "FAMILY"],
+                   {"applications", "cli", "errors", "series", "verify"},
+                   None),
+    }
+
+    @classmethod
+    def run_fresh(cls, argv):
+        """(exit code, stdout, loaded bellbound modules, numpy loaded,
+        fractions loaded) of `bellbound argv` in a new interpreter."""
+        proc = subprocess.run([sys.executable, "-c", cls.SCRIPT,
+                               json.dumps(argv)],
                               capture_output=True, text=True, check=True)
-        return json.loads(proc.stdout)
+        code, out, modules, numpy_loaded, fractions_loaded = json.loads(
+            proc.stdout)
+        modules = {m.removeprefix("bellbound.") for m in modules}
+        return code, out, modules, numpy_loaded, fractions_loaded
 
-    def test_scalar_commands_leave_numpy_unloaded(self):
-        steps = self.run_fresh([
-            ["eval", "--p", "3", "--beta", "1"],
-            ["bounds", "--p", "10", "--beta", "1", "--format", "json"],
-            ["extremal", "--a", "1", "--b", "2", "--p", "2"],
-            ["scan", "--p-start", "2", "--p-stop", "100", "--p-count", "4",
-             "--p-log", "--beta-start", "1", "--beta-stop", "1"],
-        ])
-        assert [s[0] for s in steps] == ["import", "eval", "bounds",
-                                         "extremal", "scan"]
-        for name, code, numpy_loaded, *_ in steps:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("instances") / "family.txt"
+        path.write_text("0:0.5,1:0.5\n0.3:0.2,2.5:0.3,7:0.5\n0:0.9,10:0.1\n")
+        return {name: self.run_fresh([str(path) if a == "FAMILY" else a
+                                      for a in argv])
+                for name, (argv, _, _) in self.COMMANDS.items()}
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_loads_only_its_modules(self, runs, name):
+        # a module imported at the top of cli, or of a module a command
+        # needs, fails here instead of slowing every cold start
+        code, _, modules, _, _ = runs[name]
+        assert code == 0
+        assert modules == self.COMMANDS[name][1]
+
+    def test_scalar_commands_leave_numpy_unloaded(self, runs):
+        for name, (code, _, _, numpy_loaded, fractions_loaded) in runs.items():
             assert code == 0, name
             assert not numpy_loaded, name
+            if self.COMMANDS[name][2] is not None:
+                assert fractions_loaded == self.COMMANDS[name][2], name
 
-    def test_verify_instances_in_fresh_process(self, tmp_path):
-        path = tmp_path / "family.txt"
-        path.write_text("0:0.5,1:0.5\n0.3:0.2,2.5:0.3,7:0.5\n0:0.9,10:0.1\n")
-        [_, (_, code, _, out)] = self.run_fresh(
-            [["verify", "--instances", str(path)]])
+    def test_verify_instances_in_fresh_process(self, runs):
+        code, out, *_ = runs["verify"]
         assert code == 0
         assert out.endswith("3/3 checks passed\n")
 
@@ -423,8 +454,8 @@ class TestNumpyImport:
         path = tmp_path / "family.txt"
         atoms = ",".join(f"{v}:0.1" for v in range(10))
         path.write_text(f"{atoms}\n0:0.9,10:0.1\n")
-        [_, (_, code, numpy_loaded, out)] = self.run_fresh(
-            [["verify", "--instances", str(path)]])
+        code, out, _, numpy_loaded, _ = self.run_fresh(
+            ["verify", "--instances", str(path)])
         assert code == 0
         assert out.endswith("3/3 checks passed\n")
         assert not numpy_loaded
@@ -483,6 +514,22 @@ class TestVerifyCommand:
         parser = build_parser()
         for name in verify.SUITES:
             assert parser.parse_args(["verify", "--suite", name]).suite == name
+
+    def test_suite_choices_are_the_suites(self):
+        # the parser spells the choices out, so that parsing does not import
+        # verify
+        [verify_parser] = [a.choices["verify"] for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)]
+        [suite] = [a for a in verify_parser._actions if a.dest == "suite"]
+        assert suite.choices == [*verify.SUITES, "all"]
+
+    def test_unknown_suite_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "nope"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: bellbound verify")
+        assert "invalid choice: 'nope'" in err
 
     def test_deterministic(self, capsys):
         args = ["verify", "--suite", "inequalities", "--trials", "100",
