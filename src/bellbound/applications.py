@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,18 +96,22 @@ class SumMomentResult:
 _SCALED_FLOOR = sys.float_info.min / sys.float_info.epsilon
 
 
-def _scale_exponent(tops: list[float], power: float, count: int = 1) -> int:
-    """The least e >= 0 with count * (sum(tops) / 2**e)**power < 2**1024,
-    power taken as at least 1 so that the sum fits too: 0 wherever it is in
-    the double range, so that the atoms are then taken as given.  Division
-    by 2**e is exact, bar atoms pushed into the subnormals.  DomainError
-    for an empty family."""
+def _scale_exponent(tops: list[float], p: float, samples: int = 0) -> int:
+    """The least e >= 0 with (sum(tops) / 2**e)**p < 2**1024 or, for a
+    Monte Carlo estimate over `samples` draws, with a sum of `samples`
+    squares of it below 2**1024; the power taken as at least 1 so that the
+    sum fits too.  0 wherever it is in the double range, so that the atoms
+    are then taken as given.  Division by 2**e is exact, bar atoms pushed
+    into the subnormals.  DomainError for an order p that is not finite
+    and > 0, before any power is taken, and for an empty family."""
+    if not 0 < p < math.inf:
+        raise DomainError(f"p must be > 0 and finite, got {p}")
     if not tops:
         raise DomainError("the family has no distribution")
     top = max(tops)
     k = math.frexp(top)[1]  # every sum of tops is below 2**(k + bit_length)
-    room = 1024.0 - math.log2(count)
-    power = max(power, 1.0)
+    room = 1024.0 - math.log2(max(samples, 1))
+    power = max(2.0 * p if samples else p, 1.0)
     if top == 0 or (k + len(tops).bit_length()) * power <= room:
         return 0
     bits = k + math.log2(math.fsum(math.ldexp(t, -k) for t in tops))
@@ -167,8 +172,6 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
     E(X + Y)^k = sum_i C(k, i) E X^i E Y^(k-i), whose terms are all
     non-negative: O(n p^2).  Otherwise by enumerating all outcome tuples
     and accumulating prob * (sum of values)^p."""
-    if p <= 0:
-        raise DomainError(f"p must be > 0, got {p}")
     e = _scale_exponent([max(d.atoms)[0] for d in dists], p)
     what = "E(sum eta_j)^p"
     if p <= CONVOLUTION_MAX_P and p == int(p):
@@ -228,28 +231,62 @@ def _enumerated_moment(dists: list[DiscreteDist], p: float, e: int) -> float:
         return float(np.dot(probs, sums**p))
 
 
+def _inverse_cdf(cdf, u, scratch):
+    """cdf.searchsorted(u, side="right") for uniforms u in [0, 1) and a
+    sorted cdf ending in 1, by a guide table (Chen & Asau 1974): O(len(u))
+    at any len(cdf).  With G = 2**j >= 64 len(cdf) bins, u * G is exact,
+    so bin b = floor(u * G), written to the intp array `scratch`, holds
+    exactly the u in [b/G, (b+1)/G).  A bin with no cut of cdf[:-1]
+    strictly inside answers for all its u from the table; the others, at
+    most 1/64 of [0, 1), send their u to searchsorted."""
+    import numpy as np
+
+    bins = 1 << (64 * len(cdf) - 1).bit_length()
+    edges = np.arange(bins + 1) / bins
+    cuts = cdf[:-1]
+    guide = cuts.searchsorted(edges[:-1], side="right")
+    # -1: a cut lies strictly inside the bin
+    guide[guide != cuts.searchsorted(edges[1:], side="left")] = -1
+    index = guide.take(np.multiply(u, bins, out=scratch, casting="unsafe"))
+    hit = np.flatnonzero(index < 0)
+    index[hit] = cdf.searchsorted(u[hit], side="right")
+    return index
+
+
 def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
                   seed: int) -> SumMomentResult:
     """Seeded Monte Carlo estimate of E(sum eta_j)^p with a standard error.
 
     Uses the counter-based Philox generator so results are reproducible
-    and safely parallelizable by seed."""
+    and safely parallelizable by seed.  Each summand's draw is
+    Generator.choice's, bit for bit: `samples` uniforms from the same
+    stream, each mapped to the atom at cdf.searchsorted(u, side="right"),
+    cdf = cumsum(weights) / its last entry.  The map is a guide table, so
+    a draw costs O(samples) at any atom count."""
     import numpy as np
 
-    if samples < 10_000:
-        raise DomainError(f"samples must be >= 10^4, got {samples}")
-    if p <= 0:
-        raise DomainError(f"p must be > 0, got {p}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    if not (isinstance(samples, numbers.Integral) and samples >= 10_000):
+        raise DomainError(f"samples must be an integer >= 10^4, got {samples!r}")
     # a sum of `samples` squares enters the standard error
-    e = _scale_exponent([max(d.atoms)[0] for d in dists], 2.0 * p, samples)
+    e = _scale_exponent([max(d.atoms)[0] for d in dists], p, samples)
+    rng = np.random.Generator(np.random.Philox(seed))
     totals = np.zeros(samples)
+    # u and scratch serve every summand and go before the powers, so peak
+    # memory stays that of Generator.choice; mode="clip" lets take write to
+    # `out` unbuffered (no index is out of range)
+    u = np.empty(samples)
+    scratch = np.empty(samples, np.intp)
     # inf, and inf - inf in the deviations, within rounding of 2**1024:
     # refused in _scale_back
     with np.errstate(over="ignore", invalid="ignore"):
         for d in dists:
             values, weights = zip(*d.atoms)
-            totals += rng.choice(np.ldexp(values, -e), size=samples, p=weights)
+            cdf = np.cumsum(weights)  # as Generator.choice forms it
+            cdf /= cdf[-1]
+            totals += np.ldexp(values, -e).take(
+                _inverse_cdf(cdf, rng.random(out=u), scratch),
+                out=u, mode="clip")
+        del u, scratch
         powered = totals**p
         mean = float(powered.mean())
         stderr = float(powered.std(ddof=1) / math.sqrt(samples))

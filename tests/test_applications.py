@@ -3,6 +3,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +252,57 @@ class TestExactSumMoment:
         assert scaled == pytest.approx(c**p * base, rel=1e-10)
 
 
+def choice_reference(dists: list[DiscreteDist], p: float, samples: int,
+                     seed: int) -> tuple[float, float]:
+    """(value, stderr) of mc_sum_moment with each summand drawn by
+    Generator.choice on the installed numpy: the reference that its guide
+    table must match bit for bit."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    e = applications._scale_exponent([max(d.atoms)[0] for d in dists], p,
+                                     samples)
+    totals = np.zeros(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in dists:
+            values, weights = zip(*d.atoms)
+            totals += rng.choice(np.ldexp(values, -e), size=samples, p=weights)
+        powered = totals**p
+        mean = float(powered.mean())
+        stderr = float(powered.std(ddof=1) / math.sqrt(samples))
+    return applications._scale_back((mean, stderr), e, p, "reference")
+
+
+moment_dists = st.lists(
+    st.tuples(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+              st.floats(0.01, 1.0)),
+    min_size=1, max_size=8).map(normalised)
+
+EDGE_FAMILIES = {
+    "one atom first": [DiscreteDist(((3.0, 1.0),)), COIN,
+                       DiscreteDist(((0.5, 0.25), (2.0, 0.75)))],
+    "probability 1e-200": [DiscreteDist(((1e3, 1e-200), (1.0, 1 - 1e-200))),
+                           COIN],
+    # cumsum (0.5, 1.0, 1.0): a cut equal to 1.0 before the last entry
+    "cut rounds to 1": [DiscreteDist(((1.0, 0.5), (2.0, 0.5), (9.0, 1e-17))),
+                        COIN],
+    "1000 atoms": [normalised([(math.exp((i % 37) / 5), 1.0 + i % 7)
+                               for i in range(1000)]), COIN],
+}
+
+
+def check_inverse_cdf(cdf, u):
+    """applications._inverse_cdf against cdf.searchsorted(u, side="right")."""
+    cdf, u = np.asarray(cdf, dtype=float), np.asarray(u, dtype=float)
+    got = applications._inverse_cdf(cdf, u, np.empty(len(u), np.intp))
+    assert got.tolist() == cdf.searchsorted(u, side="right").tolist()
+
+
+def around(points):
+    """Each point and its neighbouring doubles, kept in [0, 1)."""
+    return [x for c in points
+            for x in (math.nextafter(c, 0), c, math.nextafter(c, 1))
+            if 0 <= x < 1]
+
+
 class TestMonteCarlo:
     def test_agrees_with_enumeration(self):
         mc = mc_sum_moment([COIN, COIN], 2, samples=100_000, seed=11)
@@ -271,6 +323,78 @@ class TestMonteCarlo:
     def test_past_double_range(self):
         with pytest.raises(DomainError, match="double range"):
             mc_sum_moment([HUGE, HUGE], 4, samples=10_000, seed=1)
+
+    # Draws: bit for bit those of Generator.choice
+
+    @pytest.mark.parametrize("name", EDGE_FAMILIES)
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.7])
+    def test_draws_match_choice_on_edge_families(self, name, p):
+        dists = EDGE_FAMILIES[name]
+        mc = mc_sum_moment(dists, p, samples=10_000, seed=17)
+        assert (mc.value, mc.stderr) == choice_reference(dists, p, 10_000, 17)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.7])
+    def test_draws_match_choice_on_scaled_atoms(self, p):
+        # atoms 2**k whose sum of squares, not the moment, passes 2**1024:
+        # divided by 2**e, e > 0, before they are drawn
+        top = 2.0 ** min(1015, int(1010 / p))
+        dists = [DiscreteDist(((top, 0.5), (1.0, 0.5)))] * 2
+        assert applications._scale_exponent([top, top], p, 10_000) > 0
+        mc = mc_sum_moment(dists, p, samples=10_000, seed=17)
+        assert (mc.value, mc.stderr) == choice_reference(dists, p, 10_000, 17)
+
+    @given(dists=st.lists(moment_dists, min_size=1, max_size=12),
+           p=st.floats(0.5, 5.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_draws_match_choice_on_moments_families(self, dists, p, seed):
+        mc = mc_sum_moment(dists, p, samples=10_000, seed=seed)
+        assert (mc.value, mc.stderr) == choice_reference(dists, p, 10_000,
+                                                         seed)
+
+    def test_inverse_cdf_u_on_a_cut_and_a_cut_on_a_bin_edge(self):
+        # 3 entries: G = 256 bins; 0.25 and 0.5 are bin edges, 0.3 is not
+        check_inverse_cdf([0.25, 0.3, 0.5, 1.0],
+                          around([0.0, 0.25, 0.3, 0.5, 1.0]))
+
+    def test_inverse_cdf_repeated_cuts(self):
+        check_inverse_cdf([0.1, 0.1, 0.1, 0.5, 0.5, 0.75, 0.75, 1.0, 1.0],
+                          around([0.0, 0.1, 0.5, 0.75, 1.0]))
+
+    def test_inverse_cdf_no_cuts(self):
+        check_inverse_cdf([1.0], around([0.0, 0.5, 1.0]))
+
+    def test_inverse_cdf_many_cuts_in_one_bin(self):
+        cuts = np.linspace(0.5, 0.5 + 2.0**-20, 50)
+        u = [*around(cuts), *np.random.default_rng(3).random(1000)]
+        check_inverse_cdf([*cuts, 1.0], u)
+
+
+class TestRefusals:
+    """Every order p that is not finite and > 0, and a samples count that
+    is not an integer >= 10^4, end in DomainError at each entry point."""
+
+    BAD_P = [math.nan, math.inf, -math.inf, -1.0, 0.0]
+
+    @pytest.mark.parametrize("p", BAD_P)
+    @pytest.mark.parametrize("entry", [
+        lambda p: COIN.moment(p),
+        lambda p: exact_sum_moment([COIN, COIN], p),
+        lambda p: mc_sum_moment([COIN, COIN], p, samples=10_000, seed=1),
+        lambda p: check_family([COIN, COIN], p),
+    ], ids=["moment", "exact_sum_moment", "mc_sum_moment", "check_family"])
+    def test_order(self, entry, p):
+        # COIN has a 0 atom: a negative power of it divides by zero
+        with pytest.raises(DomainError, match="p must be > 0"):
+            entry(p)
+
+    @pytest.mark.parametrize("samples", [10_000.0, 9_999, True, "10000"])
+    def test_samples(self, samples):
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            mc_sum_moment([COIN], 2.0, samples=samples, seed=1)
+
+    def test_numpy_integer_samples(self):
+        a = mc_sum_moment([COIN], 2.0, samples=np.int64(10_000), seed=1)
+        assert a == mc_sum_moment([COIN], 2.0, samples=10_000, seed=1)
 
 
 class TestScaledMoments:
