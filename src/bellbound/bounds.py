@@ -9,10 +9,12 @@ objectives are evaluated in log-space.  CANDIDATES lists every public bound
 once; the sandwich suite checks them all, and bound_report ranks the reported
 ones, with GOptimized alone on the upper side.  Every bound leaves log
 space through series.in_range, so it returns a finite double or raises
-DomainError.  Where the largest term's index has no double (p ~ 1e300 at
-beta = DBL_MAX), series.peak_index refuses, and where p log k passes
-DBL_MAX (p ~ 2.6e305 at beta = 1) the single terms do; either way
-H0Search and HContinuous are refused and the report answers with Jensen.
+DomainError.  The largest term's index, BellQuery.peak, is searched once
+per query and shared by the series, H0Search and HContinuous.  Where it
+has no double (p ~ 1e300 at beta = DBL_MAX), series.peak_index refuses
+on every access, and where p log k passes DBL_MAX (p ~ 2.6e305 at
+beta = 1) the single terms do; either way H0Search and HContinuous are
+refused and the report answers with Jensen.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from .series import (
     lambert_w,
     log_mgf_bound,
     log_term,
-    peak_index,
 )
 
 K_PLUS = math.exp((math.e**2 - 3.0) / 2.0)
@@ -102,13 +103,14 @@ def lower_h0_search(q: BellQuery) -> H0Result:
     """Max over integer k >= 1 of the Dobinski term e^{-b} k^p b^k / k!.
 
     The terms are unimodal in k (strictly decreasing ratio), so the maximum
-    sits at series.peak_index, found by bisection in O(log(beta + p)).
+    sits at the query's peak, q.peak: searched once per query (bisection
+    by series.peak_index, O(log(beta + p))) and shared with the series.
     Its root_bound is refused from p ~ 2.6e305 (at beta = 1), where
     p log k passes DBL_MAX.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
-    k = peak_index(q.p, q.beta)
+    k = q.peak
     return H0Result(log_bound_on_b=log_term(k, q.p, q.beta), k_star=k, p=q.p)
 
 
@@ -127,10 +129,11 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     The log-objective p ln x - D(x) - ln(2 pi x)/2 - 1/(12x), D the Poisson
     deviance, is strictly concave on [1, inf) with a decreasing convex
     derivative, so Newton's method on its stationary equation, started at
-    the largest integer term and clamped to x >= 1, converges (monotonically
-    after the first step).  Where the slope at x = 1, p + ln beta - 5/12,
-    is <= 0, the maximum is at x = 1: then 2^(p-1) beta < 1, so the
-    largest term is the first, and the clamped first step stays there.
+    the largest integer term (the query's shared peak, q.peak) and clamped
+    to x >= 1, converges (monotonically after the first step).  Where the
+    slope at x = 1, p + ln beta - 5/12, is <= 0, the maximum is at x = 1:
+    then 2^(p-1) beta < 1, so the largest term is the first, and the
+    clamped first step stays there.
     The curvature is formed without x * x, which overflows from x ~ 1.3e154.
     Evaluating the objective through D avoids the cancellation of x ln beta
     against x ln x, both of size ~beta ln beta.  DomainError from
@@ -140,7 +143,7 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
-    x = float(peak_index(p, beta))
+    x = float(q.peak)
     for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
         slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
         curv = -((p - 0.5) / x + 1.0 + 1.0 / (6.0 * x * x)) / x

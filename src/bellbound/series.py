@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BudgetError, DomainError
 
@@ -29,7 +29,13 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class BellQuery:
-    """A (p, beta) evaluation point.  p >= 0, beta > 0."""
+    """A (p, beta) evaluation point.  p >= 0, beta > 0.
+
+    The index of its largest Dobinski term, `peak`, is searched once per
+    query, on first use, and shared by the series and the single-term
+    bounds.  It is not a field: equality, hashing, repr and
+    dataclasses.replace see only p and beta.
+    """
 
     p: float
     beta: float
@@ -43,6 +49,12 @@ class BellQuery:
     @property
     def ratio(self) -> float:
         return self.p / self.beta
+
+    @cached_property
+    def peak(self) -> int:
+        """peak_index(p, beta), searched on first access.  A refusal is not
+        cached, so each access that needs the peak raises it again."""
+        return peak_index(self.p, self.beta)
 
     @property
     def regime(self) -> Regime:
@@ -500,7 +512,8 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     log_value 0, no terms, no truncation and no rounding error.  For p > 0
     the term t_0 is 0, so the walk below stops at k = 1.
 
-    Summation starts at the largest term (peak_index) and walks outward in
+    Summation starts at the largest term, q.peak (searched once per query
+    by peak_index and shared with the bounds), and walks outward in
     both directions, each term scaled by the peak term, with Kahan
     compensation.  The term ratio is strictly decreasing, so on either
     side each step away from the peak shrinks the terms by a ratio no
@@ -533,7 +546,7 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"p={q.p} exceeds p_max={P_MAX}")
 
     p, beta = q.p, q.beta
-    m = peak_index(p, beta)
+    m = q.peak
     if p == 0:
         return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
                           peak_index=m, rounding_bound_log=-math.inf)

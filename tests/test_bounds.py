@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbound import BellQuery, DomainError, bell_dobinski, log_mgf_bound
-from bellbound import bounds, verify
+from bellbound import bounds, series, verify
 from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
     CANDIDATES,
@@ -28,7 +28,7 @@ from bellbound.bounds import (
     upper_closed_form_largep,
     upper_g_optimized,
 )
-from bellbound.series import Regime, log_term, peak_index
+from bellbound.series import Regime, axis, log_term, peak_index
 
 
 def series_root(p, beta):
@@ -160,7 +160,7 @@ class TestLowerH0:
             assert res.log_bound_on_b <= log_b + 1e-12
 
     def test_huge_beta_without_walk(self):
-        # the peak is found by bisection, in O(log beta) steps
+        # the query's peak, searched once by bisection in O(log beta) steps
         res = lower_h0_search(BellQuery(3, 1e12))
         assert res.k_star == peak_index(3, 1e12)
         assert abs(res.k_star - 1e12) < 10
@@ -478,6 +478,70 @@ class TestBoundReport:
         for name in ("H0Search", "HContinuous"):
             assert any(e.startswith(f"{name}:") and "double range" in e
                        for e in rep.errors)
+
+
+class TestSharedPeak:
+    """The largest term's index is searched once per query and shared by
+    the series, H0Search and HContinuous."""
+
+    # grid (p in [1, 500], beta in [0.1, 50]) and large_beta (beta in
+    # [1e2, 1e5]) points, the tie t_2 = t_3 at (1, 2), p = 1, beta = 1e-300
+    POINTS = ([(p, b) for p in axis(1.0, 500.0, 7, log=True)
+               for b in axis(0.1, 50.0, 4, log=True)]
+              + [(p, b) for p in (1.5, 3.0, 17.0, 120.0, 480.0)
+                 for b in (100.0, 3e3, 1e5)]
+              + [(1.0, 2.0), (1.0, 0.37), (1.0, 1e4), (2.0, 1e-300),
+                 (250.0, 1e-300)])
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return peak_index(*args)
+
+        monkeypatch.setattr(series, "peak_index", counted)
+        return calls
+
+    @pytest.mark.parametrize("p,beta", [(37, 3.3), (1.5, 40.0), (12, 3e3),
+                                        (240.0, 1e5)])
+    def test_one_search_per_report(self, monkeypatch, p, beta):
+        calls = self.count_searches(monkeypatch)
+        rep = bound_report(BellQuery(p, beta))
+        assert calls == [(p, beta)] and rep.errors == ()
+
+    @pytest.mark.parametrize("p,beta", [(37, 3.3), (12, 3e3)])
+    def test_one_search_per_series(self, monkeypatch, p, beta):
+        calls = self.count_searches(monkeypatch)
+        q = BellQuery(p, beta)
+        bell_dobinski(q)
+        bell_dobinski(q, tol=1e-6)
+        assert calls == [(p, beta)]
+
+    def test_refused_peak_is_refused_per_candidate(self, monkeypatch):
+        # the series refuses p past P_MAX first; each single-term bound
+        # then meets the peak's refusal itself
+        calls = self.count_searches(monkeypatch)
+        rep = bound_report(BellQuery(1e300, sys.float_info.max))
+        assert len(calls) == 2
+        for name in ("H0Search", "HContinuous"):
+            assert sum(e.startswith(f"{name}: peak index")
+                       for e in rep.errors) == 1
+
+    @pytest.mark.parametrize("p,beta", POINTS)
+    def test_sharing_changes_nothing(self, p, beta):
+        h0 = lower_h0_search(BellQuery(p, beta))
+        h_cont, x_star = lower_h_continuous(BellQuery(p, beta))
+        g, lam = upper_g_optimized(BellQuery(p, beta))
+        rep = bound_report(BellQuery(p, beta))
+        assert rep.series_root == series_root(p, beta)
+        assert (rep.lower, rep.lower_method) == max(
+            (h0.root_bound, "H0Search"), (h_cont, "HContinuous"),
+            (lower_jensen(BellQuery(p, beta)), "Jensen"))
+        assert (rep.upper, rep.upper_method) == (g, "GOptimized")
+        assert rep.witness == {"k_star": h0.k_star, "x_star": x_star,
+                               "lambda_star": lam}
 
 
 class TestCandidates:

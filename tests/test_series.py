@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellbound import (
@@ -37,6 +38,36 @@ class TestBellQuery:
         assert BellQuery(0.5, 0.1).regime is Regime.GAP
         # tie p/beta == 2 resolves to LargeP
         assert BellQuery(2, 1).regime is Regime.LARGE_P
+
+    def test_cached_peak_is_not_part_of_the_value(self):
+        cached, fresh = BellQuery(37, 3.3), BellQuery(37, 3.3)
+        assert cached.peak == peak_index(37, 3.3)
+        assert "peak" in vars(cached) and "peak" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh) == "BellQuery(p=37, beta=3.3)"
+
+    def test_replace_searches_the_new_peak(self):
+        q = BellQuery(37, 3.3)
+        assert q.peak == 20
+        moved = dataclasses.replace(q, beta=100.0)
+        assert "peak" not in vars(moved)
+        assert moved.peak == peak_index(37, 100.0) != q.peak
+
+    def test_refused_peak_is_not_cached(self):
+        q = BellQuery(1e300, sys.float_info.max)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="peak index"):
+                q.peak
+        assert "peak" not in vars(q)
+
+    @given(p=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+           beta=st.floats(-300.0, 5.0).map(lambda t: 10.0**t))
+    @example(p=0.0, beta=1.0)
+    @example(p=1.0, beta=2.0)  # t_2 = t_3: the earlier index
+    @settings(max_examples=200, deadline=None)
+    def test_peak_is_peak_index(self, p, beta):
+        q = BellQuery(p, beta)
+        assert q.peak == peak_index(p, beta)
 
 
 class TestDobinski:
