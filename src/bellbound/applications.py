@@ -253,6 +253,13 @@ def _inverse_cdf(cdf, u, scratch):
     return index
 
 
+def check_seed(seed) -> None:
+    """DomainError unless seed is an integer >= 0: None would draw an
+    unreproducible stream, and Philox refuses a negative seed."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
                   seed: int) -> SumMomentResult:
     """Seeded Monte Carlo estimate of E(sum eta_j)^p with a standard error.
@@ -267,6 +274,7 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
 
     if not (isinstance(samples, numbers.Integral) and samples >= 10_000):
         raise DomainError(f"samples must be an integer >= 10^4, got {samples!r}")
+    check_seed(seed)
     # a sum of `samples` squares enters the standard error
     e = _scale_exponent([max(d.atoms)[0] for d in dists], p, samples)
     rng = np.random.Generator(np.random.Philox(seed))

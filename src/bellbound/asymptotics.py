@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .series import BellQuery, bell_dobinski, lambert_w, P_MAX
+from .series import BellQuery, bell_dobinski, lambert_w
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,15 @@ class LambertApprox:
 
 def _lambert_approx(p: float, power: float) -> LambertApprox:
     """(1/sqrt(p)) * (p/W(p))^power * exp(p/W(p) - p - 1), measured against
-    the series where p <= p_max."""
+    the series where the series accepts p."""
     if not (p >= 2):
         raise DomainError(f"requires p >= 2, got {p!r}")
     pw = p / lambert_w(p)
     log_value = -0.5 * math.log(p) + power * math.log(pw) + (pw - p - 1.0)
-    ratio = None
-    if p <= P_MAX:
+    try:
         ratio = math.exp(log_value - bell_dobinski(BellQuery(p, 1.0)).log_value)
+    except DomainError:
+        ratio = None
     return LambertApprox(p=p, log_value=log_value, ratio_to_series=ratio)
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: evaluation, bound reports, grid scans, the
 extremal value, and the self-verification suites.
 
-Exit codes: 0 success, 2 domain error, 3 numerical-budget error,
+Exit codes: 0 success, 2 domain error (every refusal the library raises),
 4 verification failure.
 
 Each command imports the layers it runs, and json and decimal only where
@@ -14,12 +14,11 @@ import argparse
 import math
 import sys
 
-from .errors import BellboundError, BudgetError, DomainError
+from .errors import BellboundError, DomainError
 from .series import BellQuery, axis, bell_dobinski
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
-EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 SCAN_COLUMNS = [
@@ -251,9 +250,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -9,6 +9,6 @@ class DomainError(BellboundError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class BudgetError(BellboundError, RuntimeError):
-    """A numerical budget was exhausted: tolerance not reached, exact
-    arithmetic cap exceeded, or an enumeration too large."""
+class BudgetError(DomainError):
+    """A refusal for cost: the exact Touchard path past its cap, an
+    enumeration past ENUM_BUDGET states, or lambert_w past its step limit."""

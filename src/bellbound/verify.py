@@ -207,6 +207,7 @@ SUITES = {
 def run_suites(names, trials: int = 1000, seed: int = 7) -> list[CheckResult]:
     if trials < 1:  # zero trials would check nothing and pass
         raise DomainError(f"trials must be >= 1, got {trials}")
+    applications.check_seed(seed)  # before any suite runs
     results = []
     for name in names:
         results.extend(SUITES[name](trials, seed))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellbound import BudgetError, DomainError
-from bellbound import applications
+from bellbound import applications, verify
 from bellbound.applications import (
     DiscreteDist,
     ExtremalProblem,
@@ -213,6 +213,7 @@ class TestExactSumMoment:
         for p in (2.5, 57):
             with pytest.raises(BudgetError):
                 exact_sum_moment([d] * 8, p)
+        assert issubclass(BudgetError, DomainError)  # a refusal like any other
 
     def test_past_double_range(self):
         # (2e100)^3 / 4 + (1e100)^3 / 2, the 2^3 / 4 term lost to rounding
@@ -323,6 +324,17 @@ class TestMonteCarlo:
     def test_past_double_range(self):
         with pytest.raises(DomainError, match="double range"):
             mc_sum_moment([HUGE, HUGE], 4, samples=10_000, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed, monkeypatch):
+        # None would draw an unseeded estimate, -1 fails inside Philox; the
+        # suites refuse before the first of them runs
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            mc_sum_moment([COIN], 2, samples=10_000, seed=seed)
+        monkeypatch.setitem(verify.SUITES, "oracles",
+                            lambda trials, seed: pytest.fail("a suite ran"))
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            verify.run_suites(["oracles", "inequalities"], trials=1, seed=seed)
 
     # Draws: bit for bit those of Generator.choice
 
@@ -530,6 +542,11 @@ class TestInstanceFiles:
     def test_parse_line(self):
         d = parse_instance_line("0:0.5,1:0.25,2.5:0.25")
         assert d.atoms == ((0.0, 0.5), (1.0, 0.25), (2.5, 0.25))
+
+    @pytest.mark.parametrize("line", ["1:0.5,2:0.5,", "1:0.5,,2:0.5"])
+    def test_parse_skips_empty_chunks(self, line):
+        # a trailing or doubled comma adds no atom
+        assert parse_instance_line(line).atoms == ((1.0, 0.5), (2.0, 0.5))
 
     @pytest.mark.parametrize("line", ["x:1", "1.0", "1.0:0.5,x:0.5", "1:"])
     def test_parse_error(self, line):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from bellbound import BellQuery, DomainError, bell_dobinski
+from bellbound import BellQuery, DomainError, bell_dobinski, series
 from bellbound.asymptotics import (
     bell_lambert_approx,
     bell_lambert_approx_corrected,
@@ -127,3 +127,14 @@ class TestBellLambertApprox:
     def test_domain(self):
         with pytest.raises(DomainError):
             bell_lambert_approx(1.5)
+
+    @pytest.mark.parametrize("p", [series.P_MAX, series.P_MAX + 0.5, 1e4])
+    def test_ratio_exactly_where_the_series_answers(self, p):
+        # the series alone decides where it is defined
+        try:
+            bell_dobinski(BellQuery(p, 1.0))
+            measured = True
+        except DomainError:
+            measured = False
+        for approx in (bell_lambert_approx, bell_lambert_approx_corrected):
+            assert (approx(p).ratio_to_series is not None) == measured

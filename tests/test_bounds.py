@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellbound import BellQuery, DomainError, bell_dobinski, log_mgf_bound
+from bellbound import (BellQuery, DomainError, bell_dobinski,
+                       bell_touchard_exact, log_mgf_bound)
 from bellbound import bounds, series, verify
 from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
@@ -542,6 +543,34 @@ class TestSharedPeak:
         assert (rep.upper, rep.upper_method) == (g, "GOptimized")
         assert rep.witness == {"k_star": h0.k_star, "x_star": x_star,
                                "lambda_star": lam}
+
+
+class TestRefusalGuards:
+    # each guard's refusal, at a point no other test sends it
+    @pytest.mark.parametrize("call, message", [
+        (lambda: upper_g_optimized(BellQuery(0.5, 0.1)),
+         "upper_g_optimized requires p >= 1"),
+        (lambda: k0_selector(BellQuery(0.5, 0.1)), "k0_selector requires p >= 1"),
+        (lambda: regime_upper_largebeta(BellQuery(0.5, 1.0)), "requires p >= 1"),
+        (lambda: regime_lower_largebeta(BellQuery(0.5, 1.0)), "requires p >= 1"),
+        (lambda: log_mgf_bound(BellQuery(0.5, 0.1), 1.0),
+         "MGF bound requires p >= 1"),
+        (lambda: k0_selector(BellQuery(2.0, 6.0)), r"ln\(p\*e/beta\) = .* <= 0"),
+        # without these root_bound and the smoothed root would divide by p = 0
+        (lambda: lower_h0_search(BellQuery(0.0, 1.0)),
+         "lower_h0_search requires p > 0"),
+        (lambda: lower_h_continuous(BellQuery(0.0, 1.0)),
+         "lower_h_continuous requires p > 0"),
+        (lambda: bell_touchard_exact(2.5, 1.0),
+         "p must be a non-negative integer"),
+        (lambda: bell_touchard_exact(2, math.nan), "beta must be finite and > 0"),
+    ], ids=["upper_g_optimized", "k0_selector-p", "regime_upper_largebeta",
+            "regime_lower_largebeta", "log_mgf_bound", "k0_selector-log",
+            "lower_h0_search", "lower_h_continuous", "touchard-p",
+            "touchard-beta"])
+    def test_refused(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 class TestCandidates:

@@ -96,16 +96,16 @@ class TestEval:
         assert float(fields["log_value"]) == res.log_value
         assert int(fields["terms_used"]) == res.terms_used
 
-    def test_budget_error_exit_3(self, capsys, tmp_path, monkeypatch):
+    def test_budget_refusal_exit_2(self, capsys, tmp_path, monkeypatch):
         # at p = 2.5 the exact moment enumerates all 8**8 outcome tuples of
-        # this family, past ENUM_BUDGET; no eval has a budget any more
+        # this family, past ENUM_BUDGET: a refusal like any other
         path = tmp_path / "family.txt"
         path.write_text((",".join(f"{i}:0.125" for i in range(8)) + "\n") * 8)
         monkeypatch.setattr(applications, "FAMILY_P", (2.5,))
         code = main(["verify", "--instances", str(path)])
         err = capsys.readouterr().err
-        assert code == 3
-        assert "budget error: enumeration exceeds" in err
+        assert code == 2
+        assert "domain error: enumeration exceeds" in err
 
 
 class TestBounds:
@@ -509,6 +509,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "trials must be >= 1" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("suite", ["inequalities", "all"])
+    def test_negative_seed_exit_2(self, capsys, suite):
+        # Philox refuses it; verify refuses it first, before any suite runs
+        code = main(["verify", "--suite", suite, "--seed", "-1",
+                     "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "domain error: seed must be an integer >= 0" in captured.err
+        assert captured.out == ""
 
     def test_every_suite_parses(self):
         parser = build_parser()

@@ -170,6 +170,20 @@ class TestDobinski:
         h, alias, _ = series._trapezoid_step(2.0, m, 1e-12)
         assert series._trapezoid(2.0, 1e4, m, 1e-12, h, alias, m - h) is None
 
+    def test_trapezoid_falls_back_where_its_step_would_be_1(self):
+        # at beta = 1800 the floor lies above 0, but the strip below it is
+        # too narrow for a step of 3 at tol = 1e-300: h = 1, refused
+        p, beta, tol = 2.0, 1800.0, 1e-300
+        m = peak_index(p, beta)
+        far = math.sqrt(2.0 * (math.log(2.0) - math.log(tol))) + 2.0
+        assert m - far * math.sqrt(m / (1.0 + p / m)) > 100.0  # the floor
+        assert series._trapezoid_step(p, m, tol) is None
+        res = bell_dobinski(BellQuery(p, beta), tol=tol)
+        assert res.method == "Series"
+        exact = Fraction(1800) ** 2 + 1800
+        err = float(abs(Fraction(res.value) - exact) / exact)
+        assert err <= total_certificate(res) + 2.3e-16
+
 
 class TestInRange:
     def test_finite_value_passes_through(self):
