@@ -65,10 +65,11 @@ class ExtremalProblem:
     p: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError(f"a, b must be > 0, got a={self.a}, b={self.b}")
-        if not (self.p > 1):
-            raise DomainError(f"p must be > 1, got {self.p}")
+        for name, value, least in (("a", self.a, 0), ("b", self.b, 0),
+                                   ("p", self.p, 1)):
+            if not (math.isfinite(value) and value > least):
+                raise DomainError(
+                    f"{name} must be finite and > {least}, got {value!r}")
 
     @property
     def mu(self) -> float:

@@ -35,11 +35,13 @@ def debruijn_expansion(p: float) -> ExpansionValue:
 
 @dataclass(frozen=True)
 class LambertApprox:
-    """A Lambert-W approximation of B(p) with its measured series ratio."""
+    """A Lambert-W approximation of B(p) with the log of its measured ratio
+    to the series, None where the series refuses p.  The ratio itself
+    underflows from p ~ 180 on."""
 
     p: float
     log_value: float
-    ratio_to_series: float | None
+    log_ratio_to_series: float | None
 
 
 def _lambert_approx(p: float, power: float) -> LambertApprox:
@@ -50,10 +52,10 @@ def _lambert_approx(p: float, power: float) -> LambertApprox:
     pw = p / lambert_w(p)
     log_value = -0.5 * math.log(p) + power * math.log(pw) + (pw - p - 1.0)
     try:
-        ratio = math.exp(log_value - bell_dobinski(BellQuery(p, 1.0)).log_value)
+        log_ratio = log_value - bell_dobinski(BellQuery(p, 1.0)).log_value
     except DomainError:
-        ratio = None
-    return LambertApprox(p=p, log_value=log_value, ratio_to_series=ratio)
+        log_ratio = None
+    return LambertApprox(p=p, log_value=log_value, log_ratio_to_series=log_ratio)
 
 
 def bell_lambert_approx(p: float) -> LambertApprox:

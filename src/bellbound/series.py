@@ -1,13 +1,14 @@
 """Dobinski-series evaluation of the two-parameter Bell function.
 
 B(p, beta) = e^{-beta} * sum_{k>=0} k^p beta^k / k!  is the p-th moment of
-a Poisson(beta) variable.  The series, summed term by term below beta =
-TRAPEZOID_MIN_BETA and by a trapezoid rule over every h-th term above, is
-the ground-truth evaluator here; an exact Stirling-number (Touchard) path
-serves as the independent oracle for integer p.  Every value travels as a
-natural log and is exponentiated only at the presentation layer: B(p, 1)
-already overflows double precision near p ~ 170.  in_range is the one
-exit from log space: it returns a finite double or raises DomainError.
+a Poisson(beta) variable.  The series, walked outward from its largest
+term over every h-th term (h = 1 below beta = TRAPEZOID_MIN_BETA, the step
+of a trapezoid rule above), is the ground-truth evaluator here; an exact
+Stirling-number (Touchard) path serves as the independent oracle for
+integer p.  Every value travels as a natural log and is exponentiated only
+at the presentation layer: B(p, 1) already overflows double precision near
+p ~ 170.  in_range is the one exit from log space: it returns a finite
+double or raises DomainError.
 """
 from __future__ import annotations
 
@@ -372,9 +373,32 @@ def _trapezoid_step(p: float, m: int, tol: float):
     return h, (a_h + a_1) / (1.0 - a_h), floor
 
 
-def _peak(p: float, beta: float, m: int):
-    """log beta, the peak's Poisson log with its error bound, log t_m, and
-    the part of log_value's rounding error that comes from log t_m.
+def _rule_tail(w: float, prev: float, h: int) -> float:
+    """A side's edge and tail beyond its outer node w of the trapezoid
+    rule, prev the node before, as in _trapezoid_step; past a node that
+    underflowed to 0 they are far below the least double times T."""
+    if not w < prev:
+        return math.inf
+    if w == 0.0:
+        return 0.0
+    log_r = math.log(w / prev) / h
+    return w * math.sqrt(w / prev) * (
+        2.0 * (h + 1) / math.pi + math.exp(0.5 * log_r) / -math.expm1(log_r))
+
+
+def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
+          alias: float = 0.0, floor: float = 0.0) -> EvalResult | None:
+    """The walk of bell_dobinski over the nodes m + j h, outward from the
+    peak m: the series at h = 1, the trapezoid rule of _trapezoid_step
+    (h, alias, floor) above, which refuses with None once a node would
+    pass below floor.
+
+    A node is the term built by ratio steps from its neighbour, or directly
+    by _direct_term at every anchor-th: every _REANCHOR-th at h = 1, every
+    node above.  A side's tail is t r / (1 - r) at h = 1, r the ratio of
+    its last step, and the rule's edge and tail (_rule_tail) above; the
+    left tail is 0 at k = 1.  The rule adds alias (T + edges) for its two
+    aliasing errors.
 
     First-order rounding model.  Errors in p*log(m) (and in float(m), past
     2**53) and in the addition forming log t_m shift log_value directly.
@@ -382,28 +406,27 @@ def _peak(p: float, beta: float, m: int):
     of the sum.  A direct term's offset subtracts the computed log_pois_m,
     which cancels the peak's Poisson error against log t_m, so it carries
     its own Poisson error; the peak, and the terms built from it by exact
-    ratios, carry the peak's.  The walks keep the latter, weighted, in
-    off_err (in units of _U).
+    ratios, carry the peak's.  off_err keeps the latter, weighted (in
+    units of _U).  The sum, its log and the final addition cost 4 units
+    more, and the product h s one more at h > 1.
     """
     log_beta = math.log(beta)
-    log_pois_m, err_m = _log_poisson(m, beta, log_beta)
+    log_pois_m, off_err = _log_poisson(m, beta, log_beta)
     log_pow_m = p * math.log(m)
     log_peak = log_pow_m + log_pois_m
-    return log_beta, log_pois_m, err_m, log_peak, _U * (
-        3.0 * abs(log_pow_m) + abs(log_peak) + (p if m > 2**53 else 0.0))
-
-
-def _series(p: float, beta: float, m: int, tol: float) -> EvalResult:
-    """The unit-step walk of bell_dobinski, from the peak m."""
-    log_beta, log_pois_m, err_m, log_peak, peak_err = _peak(p, beta, m)
-    off_err = err_m
+    peak_err = _U * (3.0 * abs(log_pow_m) + abs(log_peak)
+                     + (p if m > 2**53 else 0.0))
+    rule = h > 1  # the trapezoid rule, not the series
+    units = 5.0 if rule else 4.0
+    anchor = h if rule else _REANCHOR
+    tol_h = tol * h
     # s sums the terms scaled by the peak term, which contributes 1.
     s, c = 1.0, 0.0
     terms = 1
     right = left = m
     right_w = left_w = 1.0
     # relative error bound of each side's last term, in units of _U
-    right_e = left_e = err_m
+    right_e = left_e = off_err
     exp, log1p, inf = math.exp, math.log1p, math.inf
     right_tail = inf
     left_tail = 0.0 if m == 1 else inf
@@ -411,31 +434,44 @@ def _series(p: float, beta: float, m: int, tol: float) -> EvalResult:
 
     while True:
         tails = left_tail + right_tail
-        if tails <= tol * s:
-            log_s = math.log(s)
-            rounding = math.expm1(peak_err + _U * off_err / s + 4.0 * _U
-                                  + _U * (2.0 * log_s + abs(log_peak + log_s)))
-            if tails <= (tol - min(rounding, 0.5 * tol)) * s:
+        if tails <= tol_h * s:
+            # aliasing only adds to the tails, so it can wait for this test
+            if alias:
+                tails += alias * (h * s + tails)
+            log_s = math.log(h * s)
+            rounding = math.expm1(peak_err + _U * (
+                off_err / s + units + 2.0 * log_s + abs(log_peak + log_s)))
+            if tails <= (tol - min(rounding, 0.5 * tol)) * h * s:
                 break
         if right_tail >= left_tail:
-            k = right + 1
-            if (k - m) % _REANCHOR == 0:
+            k = right + h
+            if (k - m) % anchor == 0:
                 w, e = _direct_term(k, p, m, beta, log_beta, log_pois_m)
             else:
                 w = right_w * (beta / k) * exp(p * log1p(1.0 / right))
                 e = right_e + 6.0 + four_p / right
-            # w r / (1 - r), r = w / right_w, once r < 1
-            right_tail = w * w / (right_w - w) if w < right_w else inf
+            if rule:
+                right_tail = _rule_tail(w, right_w, h)
+            else:  # w r / (1 - r), r = w / right_w, once r < 1
+                right_tail = w * w / (right_w - w) if w < right_w else inf
             right, right_w, right_e = k, w, e
         else:
-            k = left - 1
-            if (k - m) % _REANCHOR == 0:
+            k = left - h
+            # in floats: at beta ~1e151 floor rounds to float(m), which the
+            # exact k < floor + h/2 would put above the first left node
+            if rule and k - 0.5 * h < floor:
+                return None
+            if (k - m) % anchor == 0:
                 w, e = _direct_term(k, p, m, beta, log_beta, log_pois_m)
             else:
                 w = left_w * (left / beta) * exp(-p * log1p(1.0 / k))
                 e = left_e + 6.0 + four_p / k
-            left_tail = (0.0 if k == 1 else
-                         w * w / (left_w - w) if w < left_w else inf)
+            if k == 1:
+                left_tail = 0.0
+            elif rule:
+                left_tail = _rule_tail(w, left_w, h)
+            else:
+                left_tail = w * w / (left_w - w) if w < left_w else inf
             left, left_w, left_e = k, w, e
         off_err += w * e
         # Kahan step
@@ -451,57 +487,7 @@ def _series(p: float, beta: float, m: int, tol: float) -> EvalResult:
         tail_bound_log=math.log(tails) - log_s if tails else -math.inf,
         peak_index=m,
         rounding_bound_log=math.log(rounding),
-    )
-
-
-def _trapezoid(p: float, beta: float, m: int, tol: float, h: int,
-               alias: float, floor: float) -> EvalResult | None:
-    """The trapezoid rule of _trapezoid_step, walked from the peak m as the
-    series is, over the nodes m + j h; None where one would pass below
-    floor.  The product h s adds a unit to the series' rounding bound."""
-    log_beta, log_pois_m, err_m, log_peak, peak_err = _peak(p, beta, m)
-    off_err = err_m
-    s, c = 1.0, 0.0
-    terms = 1
-    edge = 2.0 * (h + 1) / math.pi
-    last = {h: (m, 1.0, math.inf), -h: (m, 1.0, math.inf)}  # node, w, tail
-    while True:
-        edges = last[h][2] + last[-h][2]
-        tails = edges + alias * (h * s + edges)
-        if tails <= tol * h * s:
-            log_s = math.log(h * s)
-            rounding = math.expm1(peak_err + _U * (
-                off_err / s + 5.0 + 2.0 * log_s + abs(log_peak + log_s)))
-            if tails <= (tol - min(rounding, 0.5 * tol)) * h * s:
-                break
-        step = h if last[h][2] >= last[-h][2] else -h
-        k, prev, _ = last[step]
-        k += step
-        if k - 0.5 * h < floor:
-            return None
-        w, e = _direct_term(k, p, m, beta, log_beta, log_pois_m)
-        # this side's edge and tail, as in _trapezoid_step; past a node that
-        # underflowed to 0 they are far below the least double times T
-        tail = math.inf if w >= prev else 0.0
-        if 0.0 < w < prev:
-            log_r = math.log(w / prev) / h
-            tail = w * math.sqrt(w / prev) * (
-                edge + math.exp(0.5 * log_r) / -math.expm1(log_r))
-        last[step] = k, w, tail
-        off_err += w * e
-        y = w - c  # Kahan step
-        t = s + y
-        c = (t - s) - y
-        s = t
-        terms += 1
-
-    return EvalResult(
-        log_value=log_peak + log_s,
-        terms_used=terms,
-        tail_bound_log=math.log(tails) - log_s if tails else -math.inf,
-        peak_index=m,
-        rounding_bound_log=math.log(rounding),
-        method="Trapezoid",
+        method="Trapezoid" if rule else "Series",
     )
 
 
@@ -512,32 +498,32 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     log_value 0, no terms, no truncation and no rounding error.  For p > 0
     the term t_0 is 0, so the walk below stops at k = 1.
 
-    Summation starts at the largest term, q.peak (searched once per query
-    by peak_index and shared with the bounds), and walks outward in
-    both directions, each term scaled by the peak term, with Kahan
-    compensation.  The term ratio is strictly decreasing, so on either
-    side each step away from the peak shrinks the terms by a ratio no
-    larger than the step before: with r the ratio of a side's last step,
-    its remaining tail is at most t r / (1 - r), t its last term.  A side's
-    bound is used once its r is below 1, and the side with the larger
-    bound takes the next term.  The terms are Gaussian-like with width
-    ~sqrt(beta + p), so the series costs O(sqrt(beta) * sqrt(log(1/tol)))
-    terms.  From beta = TRAPEZOID_MIN_BETA on, the trapezoid rule of
-    _trapezoid_step, with step h ~ 0.8 sqrt(beta), walks the same way over
-    every h-th term: a few dozen nodes at any beta up to DBL_MAX.
+    One walk, _walk, sums the nodes m + j h outward from the largest term
+    m = q.peak (searched once per query by peak_index and shared with the
+    bounds) in both directions, each scaled by the peak term, with Kahan
+    compensation, and returns h times the sum.  The term ratio is strictly
+    decreasing, so on either side each step away from the peak shrinks the
+    terms by a ratio no larger than the step before, which bounds a side's
+    remainder by its last node: a side's bound is used once its ratio is
+    below 1, and the side with the larger bound takes the next node.  At
+    h = 1 the walk is the series, whose terms are Gaussian-like with width
+    ~sqrt(beta + p): O(sqrt(beta) * sqrt(log(1/tol))) terms.  From beta =
+    TRAPEZOID_MIN_BETA on, h ~ 0.8 sqrt(beta) is the step of the trapezoid
+    rule of _trapezoid_step, a few dozen nodes at any beta up to DBL_MAX;
+    where that rule cannot certify tol, the walk at h = 1 answers.
 
-    Each series term is its neighbour times the term ratio,
+    At h = 1 each term is its neighbour times the term ratio,
     (beta / (k + 1)) * (1 + 1/k)^p walking right and its inverse walking
-    left, except every _REANCHOR-th term of a side: those, and the
-    trapezoid nodes, are built directly from _log_poisson, which costs
-    several times as much.  A forward-error bound on rounding is kept
-    alongside: from the operands of the peak term, each term's own error,
-    the sum and the final addition.  A ratio step adds 6 + 4p/k units of
-    roundoff to the error of the term it starts from.  Summation stops
-    once the method error <= tol - rounding, so tol bounds the total
-    error whenever rounding <= tol/2.  Otherwise (only when |log B| runs
-    to several hundred or more, where log_value's own ulp approaches tol)
-    the method error is pushed to tol/2 and the returned certificate
+    left, except every _REANCHOR-th term of a side: those, and every node
+    at h > 1, are built directly from _log_poisson, which costs several
+    times as much.  A forward-error bound on rounding is kept alongside:
+    from the operands of the peak term, each term's own error, the sum and
+    the final addition.  A ratio step adds 6 + 4p/k units of roundoff to
+    the error of the term it starts from.  Summation stops once the method
+    error <= tol - rounding, so tol bounds the total error whenever
+    rounding <= tol/2.  Otherwise (only when |log B| runs to several
+    hundred or more, where log_value's own ulp approaches tol) the method
+    error is pushed to tol/2 and the returned certificate
     honestly exceeds tol.  p above P_MAX is refused.
     """
     if not (0.0 < tol <= 1e-3):
@@ -551,8 +537,7 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
         return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
                           peak_index=m, rounding_bound_log=-math.inf)
     step = _trapezoid_step(p, m, tol) if beta >= TRAPEZOID_MIN_BETA else None
-    return ((step and _trapezoid(p, beta, m, tol, *step))
-            or _series(p, beta, m, tol))
+    return (step and _walk(p, beta, m, tol, *step)) or _walk(p, beta, m, tol)
 
 
 @lru_cache(maxsize=64)

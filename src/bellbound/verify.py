@@ -167,6 +167,7 @@ def suite_inequalities(trials: int = 1000, seed: int = 7) -> list[CheckResult]:
     extremal value."""
     import numpy as np
 
+    applications.check_seed(seed)
     results = []
     rng = np.random.Generator(np.random.Philox(seed))
     # each family is drawn before its p

@@ -143,8 +143,18 @@ class TestSchechtman:
     def test_requires_p_above_1(self):
         with pytest.raises(DomainError):
             ExtremalProblem(1, 1, 1)
-        with pytest.raises(DomainError, match="a, b must be > 0"):
+        with pytest.raises(DomainError, match="^a must be finite and > 0, got 0$"):
             ExtremalProblem(0, 1, 2)
+
+    @pytest.mark.parametrize("a, b, p, name", [
+        (math.inf, 1, 2, "a"), (math.nan, 1, 2, "a"), (1, math.inf, 2, "b"),
+        (1, -math.inf, 2, "b"), (1, 1, math.inf, "p"), (1, 1, math.nan, "p")])
+    def test_non_finite_argument_is_named(self, a, b, p, name):
+        # refused by name before mu = exp(...) is formed from them
+        least = 1 if name == "p" else 0
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be finite and > {least}, got"):
+            ExtremalProblem(a, b, p)
 
     def test_large_mu(self):
         # mu = 1e6; B(3, mu) = mu^3 + 3 mu^2 + mu and (b/a)^{3/2} = 1e-9
@@ -335,6 +345,12 @@ class TestMonteCarlo:
                             lambda trials, seed: pytest.fail("a suite ran"))
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             verify.run_suites(["oracles", "inequalities"], trials=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_inequality_suite_checks_its_own_seed(self, seed):
+        # called directly, not through run_suites, whose check comes first
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            verify.suite_inequalities(1, seed=seed)
 
     # Draws: bit for bit those of Generator.choice
 

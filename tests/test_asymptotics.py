@@ -108,21 +108,30 @@ class TestBellLambertApprox:
 
     def test_ratio_measured_not_asserted(self):
         res = bell_lambert_approx(10.0)
-        assert res.ratio_to_series is not None
-        assert math.isfinite(res.ratio_to_series)
+        assert res.log_ratio_to_series is not None
+        assert math.isfinite(res.log_ratio_to_series)
 
     def test_literal_ratio_trend_recorded(self):
-        ratios = [bell_lambert_approx(float(p)).ratio_to_series
-                  for p in (10, 20, 40, 80)]
+        log_ratios = [bell_lambert_approx(float(p)).log_ratio_to_series
+                      for p in (10, 20, 40, 80)]
         # diagnostic: the printed formula underestimates, increasingly so
-        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert all(a > b for a, b in zip(log_ratios, log_ratios[1:]))
 
     def test_corrected_variant_is_closer(self):
         for p in (10.0, 40.0, 80.0):
-            lit = bell_lambert_approx(p).ratio_to_series
-            cor = bell_lambert_approx_corrected(p).ratio_to_series
-            assert abs(math.log(cor)) < abs(math.log(lit))
-            assert 0.5 < cor < 2.0
+            lit = bell_lambert_approx(p).log_ratio_to_series
+            cor = bell_lambert_approx_corrected(p).log_ratio_to_series
+            assert abs(cor) < abs(lit)
+            assert abs(cor) < math.log(2.0)
+
+    @pytest.mark.parametrize("p", [200.0, 500.0])
+    def test_log_ratio_where_the_ratio_underflows(self, p):
+        # the literal formula is off by e^-784 at p = 200, e^-2334 at 500,
+        # past exp's underflow at e^-745
+        res = bell_lambert_approx(p)
+        series_log = bell_dobinski(BellQuery(p, 1.0)).log_value
+        assert res.log_ratio_to_series == res.log_value - series_log
+        assert -3000.0 < res.log_ratio_to_series < -745.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -137,4 +146,4 @@ class TestBellLambertApprox:
         except DomainError:
             measured = False
         for approx in (bell_lambert_approx, bell_lambert_approx_corrected):
-            assert (approx(p).ratio_to_series is not None) == measured
+            assert (approx(p).log_ratio_to_series is not None) == measured

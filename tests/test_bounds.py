@@ -626,6 +626,22 @@ class TestCandidates:
         assert not sandwich.passed
         assert "RoughTriangle" in sandwich.detail
 
+    def test_sandwich_suite_checks_the_domination(self, monkeypatch):
+        # a closed form between B^{1/p} and GOptimized is on its side, but
+        # below the infimum it is a value of: only the domination check fails
+        closed_form = bounds.upper_closed_form_largep
+
+        def inside(q):
+            closed_form(q)  # keeps its regime guard
+            return math.sqrt(upper_g_optimized(q)[0]
+                             * bell_dobinski(q).root(q.p))
+
+        monkeypatch.setattr(bounds, "upper_closed_form_largep", inside)
+        sandwich = next(r for r in verify.suite_sandwich()
+                        if r.name == "sandwich")
+        assert not sandwich.passed
+        assert "first: ('GOptimized>ClosedFormLargeP(upper)', " in sandwich.detail
+
     @given(p=log_uniform(1.0, 500.0), beta=log_uniform(1e-300, 1e6))
     @settings(max_examples=300, deadline=None)
     def test_every_bound_on_its_side_or_refused(self, p, beta):

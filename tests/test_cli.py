@@ -494,6 +494,14 @@ class TestExtremal:
         assert main(["extremal", "--a", a, "--b", b, "--p", "2"]) == 2
         assert f"domain error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a,b,p,name", [
+        ("1", "1", "inf", "p"), ("inf", "1", "2", "a"), ("1", "inf", "2", "b")])
+    def test_non_finite_argument_named_exit_2(self, capsys, a, b, p, name):
+        assert main(["extremal", "--a", a, "--b", b, "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"domain error: {name} must be finite and > ")
+        assert "mu =" not in err
+
 
 class TestVerifyCommand:
     def test_oracles_pass(self, capsys):

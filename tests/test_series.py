@@ -168,7 +168,17 @@ class TestDobinski:
         # and a walk whose next node would pass below its floor gives up
         m = peak_index(2.0, 1e4)
         h, alias, _ = series._trapezoid_step(2.0, m, 1e-12)
-        assert series._trapezoid(2.0, 1e4, m, 1e-12, h, alias, m - h) is None
+        assert series._walk(2.0, 1e4, m, 1e-12, h, alias, m - h) is None
+
+    def test_floor_that_rounds_to_the_peak(self):
+        # at beta ~1e151 the floor rounds to float(m); the first left node,
+        # tested as k - h/2 < floor in floats, lies above it, so the rule
+        # answers instead of leaving ~1e75 unit steps to the fallback
+        p, beta, tol = 3.5473, 1.0151e151, 1e-12
+        m = peak_index(p, beta)
+        step = series._trapezoid_step(p, m, tol)
+        assert step[2] == float(m)
+        assert series._walk(p, beta, m, tol, *step).method == "Trapezoid"
 
     def test_trapezoid_falls_back_where_its_step_would_be_1(self):
         # at beta = 1800 the floor lies above 0, but the strip below it is
@@ -298,13 +308,13 @@ def log_error(res, exact, mpmath) -> float:
 
 def unit_steps(p, beta, tol=1e-12):
     """The series summed term by term, at any beta."""
-    return series._series(p, beta, peak_index(p, beta), tol)
+    return series._walk(p, beta, peak_index(p, beta), tol)
 
 
 def trapezoid(p, beta, tol=1e-12):
     """The trapezoid rule, at any beta where it can certify tol."""
     m = peak_index(p, beta)
-    return series._trapezoid(p, beta, m, tol, *series._trapezoid_step(p, m, tol))
+    return series._walk(p, beta, m, tol, *series._trapezoid_step(p, m, tol))
 
 
 class TestCertificate:
