@@ -1,6 +1,6 @@
 """Bilateral non-asymptotic bounds for Poisson moments (Bell functions)."""
 
-from .errors import BellboundError, BudgetError, DomainError
+from .errors import BudgetError, DomainError
 from .series import (
     BellQuery,
     EvalResult,
@@ -12,7 +12,6 @@ from .series import (
 )
 
 __all__ = [
-    "BellboundError",
     "BellQuery",
     "BudgetError",
     "DomainError",

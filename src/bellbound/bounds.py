@@ -26,7 +26,7 @@ from functools import cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import BellboundError, DomainError
+from .errors import DomainError
 from .series import (
     BellQuery,
     Regime,
@@ -227,24 +227,22 @@ def regime_lower_largebeta(q: BellQuery) -> KMinusBound:
                        constant_label="formula", holds=K_MINUS_FORMULA <= 1.0)
 
 
-@cache
-def _rough_fit_grid() -> tuple[float, ...]:
-    """The grid of 40 log-spaced p in [2, 200] on which the rough constant
-    is fitted, restricted to lnln p > 0 (the normalization flips sign below
-    p = e and diverges at p = e)."""
-    grid = (2.0 * 100.0 ** (i / 39) for i in range(40))
-    return tuple(p for p in grid if p > math.e)
+# The grid of 40 log-spaced p in [2, 200] on which the rough constant is
+# fitted, restricted to lnln p > 0 (the normalization flips sign below
+# p = e and diverges at p = e).
+_ROUGH_FIT_GRID = tuple(
+    p for p in (2.0 * 100.0 ** (i / 39) for i in range(40)) if p > math.e)
 
 
 @cache
 def fitted_rough_constant() -> float:
     """Empirical constant for the rough triangle bound, fitted at beta = 1.
 
-    Maximizes (B^{1/p} e ln p / p - 1) * ln p / lnln p over the grid of
-    _rough_fit_grid.
+    Maximizes (B^{1/p} e ln p / p - 1) * ln p / lnln p over
+    _ROUGH_FIT_GRID.
     """
     best = 0.0
-    for p in _rough_fit_grid():
+    for p in _ROUGH_FIT_GRID:
         lnp = math.log(p)
         root = bell_dobinski(BellQuery(p, 1.0)).root(p)
         need = (root * math.e * lnp / p - 1.0) * lnp / math.log(lnp)
@@ -261,7 +259,7 @@ def rough_upper_triangle(q: BellQuery) -> float:
     keeps the sum-of-norms argument applicable.  DomainError where the
     bound passes DBL_MAX (p = 100, beta = 1e308, say).
     """
-    p_min = _rough_fit_grid()[0]
+    p_min = _ROUGH_FIT_GRID[0]
     if q.p < p_min:
         raise DomainError(f"requires p >= {p_min:.4f} (the rough constant's "
                           f"fitted range), got p={q.p}")
@@ -359,10 +357,10 @@ CANDIDATES = (
 
 def _attempt(errors: list[str], label: str, thunk):
     """thunk(), or None with "<label>: <message>" appended to errors when
-    it raises a BellboundError."""
+    it raises a DomainError."""
     try:
         return thunk()
-    except BellboundError as exc:
+    except DomainError as exc:
         errors.append(f"{label}: {exc}")
         return None
 

@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 
-from .errors import BellboundError, DomainError
+from .errors import DomainError
 from .series import BellQuery, axis, bell_dobinski
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _scan_row(p: float, beta: float, tol: float) -> dict:
             from . import asymptotics
 
             row["debruijn_total"] = asymptotics.debruijn_expansion(p).total
-    except BellboundError as exc:
+    except DomainError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     # a ratio is NaN where there is no upper bound, and inf where upper /
     # series passes DBL_MAX (subnormal beta); neither is JSON: null, and an

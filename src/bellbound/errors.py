@@ -1,11 +1,10 @@
-"""Semantic exception hierarchy shared by all modules."""
+"""The library's refusals.  Every exception the library raises on purpose
+is a DomainError, and only those are caught and reported: by bound_report
+for a candidate, by a scan row, and by the CLI, which exits 2.  Anything
+else is a bug and propagates."""
 
 
-class BellboundError(Exception):
-    """Base class for all library errors."""
-
-
-class DomainError(BellboundError, ValueError):
+class DomainError(ValueError):
     """An argument violates a documented precondition."""
 
 

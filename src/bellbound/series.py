@@ -25,7 +25,6 @@ P_MAX = 500.0  # the largest exponent the series evaluator accepts
 class Regime(Enum):
     LARGE_P = "LargeP"
     LARGE_BETA = "LargeBeta"
-    GAP = "Gap"
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,6 @@ class BellQuery:
     @property
     def regime(self) -> Regime:
         # Tie at p/beta == 2 resolves to LARGE_P.
-        if self.p < 1:
-            return Regime.GAP
         return Regime.LARGE_P if self.ratio >= 2.0 else Regime.LARGE_BETA
 
 
@@ -76,9 +73,9 @@ class EvalResult:
     floating-point error of log_value, expressed as a relative error of
     the value.  The total relative error is at most the sum of the two; it
     is at most the requested tol whenever the rounding part is at most
-    tol/2.  method names the evaluator, "Series" or "Trapezoid";
-    terms_used counts the terms it summed, which are the nodes of the
-    trapezoid rule.
+    tol/2.  method names the evaluator: "Series", "Trapezoid", or
+    "ClosedForm" for p = 0; terms_used counts the terms it summed, which
+    are the nodes of the trapezoid rule.
     """
 
     log_value: float
@@ -86,7 +83,7 @@ class EvalResult:
     tail_bound_log: float
     peak_index: int
     rounding_bound_log: float
-    method: str = "Series"
+    method: str
 
     @property
     def value(self) -> float:
@@ -494,9 +491,10 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
 def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     """Evaluate log B(p, beta) with a certified relative error.
 
-    B(0, beta) = 1, the Poisson total mass, is returned in closed form:
-    log_value 0, no terms, no truncation and no rounding error.  For p > 0
-    the term t_0 is 0, so the walk below stops at k = 1.
+    B(0, beta) = 1, the Poisson total mass, is returned in closed form,
+    method "ClosedForm": log_value 0, no terms, no truncation and no
+    rounding error.  For p > 0 the term t_0 is 0, so the walk below stops
+    at k = 1.
 
     One walk, _walk, sums the nodes m + j h outward from the largest term
     m = q.peak (searched once per query by peak_index and shared with the
@@ -535,7 +533,8 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     m = q.peak
     if p == 0:
         return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
-                          peak_index=m, rounding_bound_log=-math.inf)
+                          peak_index=m, rounding_bound_log=-math.inf,
+                          method="ClosedForm")
     step = _trapezoid_step(p, m, tol) if beta >= TRAPEZOID_MIN_BETA else None
     return (step and _walk(p, beta, m, tol, *step)) or _walk(p, beta, m, tol)
 
@@ -584,14 +583,18 @@ def axis(start: float, stop: float, count: int, log: bool = False) -> list[float
     """`count` points from start to stop, evenly spaced or, when `log`,
     log-spaced, without importing numpy.  The linear points are
     `start + i*step` with the last set to `stop`, as np.linspace computes
-    them (unless `step` underflows to 0); the log points are `10.0 ** x`
-    over the linear axis of the log10 endpoints, within 1 ulp of
-    np.logspace, whose vectorised pow may round differently."""
+    them (unless `step` underflows to 0); the log points are `start`,
+    `10.0 ** x` over the interior of the linear axis of the log10
+    endpoints, within 1 ulp of np.logspace, whose vectorised pow may round
+    differently, and `stop` (10.0 ** log10(DBL_MAX) overflows).
+    DomainError for count < 1."""
+    if count < 1:
+        raise DomainError(f"axis count must be >= 1, got {count!r}")
     if count == 1:
         return [start]
     if log:
-        return [10.0 ** x
-                for x in axis(math.log10(start), math.log10(stop), count)]
+        inner = axis(math.log10(start), math.log10(stop), count)[1:-1]
+        return [start] + [10.0 ** x for x in inner] + [stop]
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count - 1)] + [stop]
 

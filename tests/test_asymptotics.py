@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import lambertw as scipy_lambertw
 
 from bellbound import BellQuery, DomainError, bell_dobinski, series
 from bellbound.asymptotics import (
@@ -82,16 +81,12 @@ class TestLambertW:
         rng = random.Random(13)
         lo, hi = math.log(5e-324), math.log(sys.float_info.max)
         xs = [5e-324, sys.float_info.max] + [
-            math.exp(rng.uniform(lo, hi)) for _ in range(2000)]
+            math.exp(rng.uniform(lo, hi)) for _ in range(2000)] + (
+            np.logspace(-3, 5, 30).tolist())
         with mpmath.workdps(40):
             for x in xs:
                 want = mpmath.lambertw(mpmath.mpf(x)).real
                 assert float(abs(lambert_w(x) / want - 1)) <= 4e-16, x
-
-    def test_against_scipy(self):
-        for x in np.logspace(-3, 5, 30):
-            assert lambert_w(float(x)) == pytest.approx(
-                float(scipy_lambertw(x).real), rel=1e-11)
 
     def test_domain(self):
         with pytest.raises(DomainError):

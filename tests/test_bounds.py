@@ -2,6 +2,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from bellbound import bounds, series, verify
 from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
     CANDIDATES,
-    _rough_fit_grid,
+    _ROUGH_FIT_GRID,
     K_MINUS_FORMULA,
     K_MINUS_PAPER,
     K_PLUS,
@@ -29,7 +30,7 @@ from bellbound.bounds import (
     upper_closed_form_largep,
     upper_g_optimized,
 )
-from bellbound.series import Regime, axis, log_term, peak_index
+from bellbound.series import Regime, log_term, peak_index
 
 
 def series_root(p, beta):
@@ -360,7 +361,7 @@ class TestRoughTriangle:
             rough_upper_triangle(BellQuery(2.84, 1))
 
     def test_holds_from_fitted_range_to_3_5(self):
-        p_min = _rough_fit_grid()[0]
+        p_min = _ROUGH_FIT_GRID[0]
         assert 2.85 <= p_min < 2.851
         for p in [p_min + (3.5 - p_min) * i / 12 for i in range(13)]:
             for beta in [1.0, 2.5, 10.0, 333.3, 1e4, 1e5]:
@@ -487,8 +488,8 @@ class TestSharedPeak:
 
     # grid (p in [1, 500], beta in [0.1, 50]) and large_beta (beta in
     # [1e2, 1e5]) points, the tie t_2 = t_3 at (1, 2), p = 1, beta = 1e-300
-    POINTS = ([(p, b) for p in axis(1.0, 500.0, 7, log=True)
-               for b in axis(0.1, 50.0, 4, log=True)]
+    POINTS = ([(p, b) for p in np.logspace(0.0, math.log10(500.0), 7).tolist()
+               for b in np.logspace(-1.0, math.log10(50.0), 4).tolist()]
               + [(p, b) for p in (1.5, 3.0, 17.0, 120.0, 480.0)
                  for b in (100.0, 3e3, 1e5)]
               + [(1.0, 2.0), (1.0, 0.37), (1.0, 1e4), (2.0, 1e-300),

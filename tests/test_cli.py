@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellbound import BellQuery, applications, bell_dobinski, bounds, verify
+from bellbound import (BellQuery, DomainError, Regime, applications,
+                       bell_dobinski, bounds, verify)
 from bellbound.cli import build_parser, main
 
 
@@ -46,6 +47,7 @@ class TestEval:
         assert code == 0
         value = float(out.splitlines()[0].split()[1])
         assert value == pytest.approx(1.0, rel=1e-11)
+        assert "method ClosedForm" in out.splitlines()
 
     def test_domain_error_exit_2(self, capsys):
         code = main(["eval", "--p", "-1", "--beta", "1"])
@@ -145,6 +147,12 @@ class TestBounds:
             reported = {c.name for c in bounds.CANDIDATES
                         if c.side == side and c.reported}
             assert set(props[f"{side}_method"]["enum"]) == reported | {"none"}
+
+    def test_schemas_list_the_regimes(self):
+        regimes = [r.value for r in Regime]
+        assert schema("bounds")["properties"]["regime"]["enum"] == regimes
+        assert schema("scan")["items"]["properties"]["regime"]["enum"] == (
+            regimes + [None])
 
     def test_boundary_tie(self, capsys):
         _, out = run_main(
@@ -270,6 +278,18 @@ class TestScan:
                 "1", "--beta-stop", "1.7976931348623157e308", "--beta-count",
                 "2"]
 
+    def test_log_axis_to_dbl_max(self, capsys):
+        # 10.0 ** log10(DBL_MAX) overflows: the axis ends at stop itself
+        code, out = run_main(
+            ["scan", "--p-start", "1", "--p-stop", "2", "--p-count", "2",
+             "--beta-start", "1", "--beta-stop", "1.7976931348623157e308",
+             "--beta-count", "3", "--beta-log", "--format", "json"], capsys)
+        assert code == 0
+        rows = strict_json(out)
+        jsonschema.validate(rows, schema("scan"))
+        assert [r["beta"] for r in rows[::3]] == [1.0, 1.0]
+        assert [r["beta"] for r in rows[2::3]] == [sys.float_info.max] * 2
+
     def test_no_upper_bound_is_null(self, capsys):
         code, out = run_main(self.NO_UPPER + ["--format", "json"], capsys)
         assert code == 0
@@ -361,11 +381,22 @@ class TestAxis:
             count = int(rng.integers(1, 80))
             got = verify.axis(start, stop, count, log=True)
             want = np.logspace(math.log10(start), math.log10(stop), count)
-            if count == 1:
-                want = [start]
             assert len(got) == count
-            for g, w in zip(got, want):
+            assert got[0] == start and (count == 1 or got[-1] == stop)
+            for g, w in zip(got[1:-1], want[1:-1]):
                 assert abs(g - w) <= math.ulp(w)
+
+    def test_log_ends_at_its_endpoints(self):
+        top = sys.float_info.max
+        assert verify.axis(1.0, top, 3, log=True) == [
+            1.0, 10.0 ** (math.log10(top) / 2), top]
+        assert verify.axis(1.0, 1.7e308, 3, log=True)[-1] == 1.7e308
+        assert verify.GRID_P[-1] == 200.0 and verify.GRID_BETA[-1] == 50.0
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_refuses_no_points(self, count):
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            verify.axis(1.0, 2.0, count)
 
     def test_acceptance_grid_within_one_ulp(self):
         for got, want in (

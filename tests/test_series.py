@@ -35,9 +35,10 @@ class TestBellQuery:
     def test_regime_split(self):
         assert BellQuery(10, 1).regime is Regime.LARGE_P
         assert BellQuery(2, 10).regime is Regime.LARGE_BETA
-        assert BellQuery(0.5, 0.1).regime is Regime.GAP
+        assert BellQuery(0.5, 0.1).regime is Regime.LARGE_P
         # tie p/beta == 2 resolves to LargeP
         assert BellQuery(2, 1).regime is Regime.LARGE_P
+        assert list(Regime) == [Regime.LARGE_P, Regime.LARGE_BETA]
 
     def test_cached_peak_is_not_part_of_the_value(self):
         cached, fresh = BellQuery(37, 3.3), BellQuery(37, 3.3)
@@ -88,6 +89,13 @@ class TestDobinski:
         res = bell_dobinski(BellQuery(0.0, beta))
         assert abs(math.expm1(res.log_value)) <= math.exp(
             res.tail_bound_log) + math.exp(res.rounding_bound_log)
+        assert (res.method, res.terms_used) == ("ClosedForm", 0)
+
+    def test_method_has_no_default(self):
+        with pytest.raises(TypeError, match="method"):
+            series.EvalResult(log_value=0.0, terms_used=0,
+                              tail_bound_log=-math.inf, peak_index=0,
+                              rounding_bound_log=-math.inf)
 
     def test_certificate_below_tol(self):
         res = bell_dobinski(BellQuery(25, 3), tol=1e-10)
@@ -495,6 +503,14 @@ class TestTrapezoid:
         assert time.perf_counter() - start < 0.5
         assert res.method == "Trapezoid"
         assert math.exp(res.tail_bound_log) <= 5e-324
+
+    def test_rule_tail_guards(self):
+        # a node not below the one before has no geometric tail; past a
+        # node that underflowed to 0 the tail is 0
+        for w, prev in ((0.5, 0.5), (0.6, 0.5), (math.nan, 0.5)):
+            assert series._rule_tail(w, prev, 5) == math.inf
+        assert series._rule_tail(0.0, 1e-300, 5) == 0.0
+        assert 0.0 < series._rule_tail(1e-20, 1e-10, 5) < math.inf
 
     def test_node_count_flat_in_beta(self):
         counts = [bell_dobinski(BellQuery(2.0, 10.0**t)).terms_used
