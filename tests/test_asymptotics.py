@@ -88,6 +88,13 @@ class TestLambertW:
                 want = mpmath.lambertw(mpmath.mpf(x)).real
                 assert float(abs(lambert_w(x) / want - 1)) <= 4e-16, x
 
+    def test_against_scipy(self):
+        # imported here, so the module collects without scipy
+        special = pytest.importorskip("scipy.special")
+        for x in np.logspace(-3, 5, 30):
+            assert lambert_w(float(x)) == pytest.approx(
+                float(special.lambertw(x).real), rel=1e-11)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lambert_w(-0.5)
