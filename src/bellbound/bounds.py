@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .errors import DomainError
 from .series import (
     BellQuery,
+    EvalResult,
     Regime,
     bell_dobinski,
     _poisson_deviance,
@@ -273,7 +274,8 @@ def rough_upper_triangle(q: BellQuery) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Matched lower/upper estimates of B^{1/p}(p, beta)."""
+    """Matched lower/upper estimates of B^{1/p}(p, beta), and the series'
+    result, kept where its root is a finite double."""
 
     query: BellQuery
     regime: Regime
@@ -282,9 +284,14 @@ class BoundReport:
     upper: float
     upper_method: str
     witness: dict = field(default_factory=dict)
-    series_root: float | None = None
+    series: EvalResult | None = None
     kminus: KMinusBound | None = None
     errors: tuple[str, ...] = ()
+
+    @property
+    def series_root(self) -> float | None:
+        """The series' value of B^{1/p}; None without a series."""
+        return None if self.series is None else self.series.root(self.query.p)
 
     def to_dict(self) -> dict:
         """The report as JSON types; a side with no bound (NaN) is None."""
@@ -380,8 +387,9 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     regime = q.regime
     errors: list[str] = []
     witness: dict = {}
-    series_root = _attempt(
-        errors, "series", lambda: bell_dobinski(q, tol=series_tol).root(q.p))
+    series = _attempt(errors, "series", lambda: bell_dobinski(q, tol=series_tol))
+    if series and _attempt(errors, "series", lambda: series.root(q.p)) is None:
+        series = None
 
     cands: dict[str, list[tuple[float, str]]] = {"lower": [], "upper": []}
     for c in CANDIDATES:
@@ -399,5 +407,5 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     return BoundReport(query=q, regime=regime, lower=lower,
                        lower_method=lower_method, upper=upper,
                        upper_method=upper_method, witness=witness,
-                       series_root=series_root, kminus=kminus,
+                       series=series, kminus=kminus,
                        errors=tuple(errors))

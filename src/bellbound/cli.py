@@ -107,8 +107,14 @@ def _scan_row(p: float, beta: float, tol: float) -> dict:
         row["series_b_1p"] = series = d["series_check"]
         row["error"] = "; ".join(d["errors"]) or None
         if series:
-            row["ratio_upper_over_series"] = report.upper / series
-            row["ratio_series_over_lower"] = series / report.lower
+            # each ratio divides by the end of the series' certified
+            # interval that keeps a proven bound's ratio >= 1
+            res = report.series
+            eps = math.exp(res.tail_bound_log) + math.exp(res.rounding_bound_log)
+            row["ratio_upper_over_series"] = (
+                report.upper / series / math.exp(math.log1p(-eps) / p))
+            row["ratio_series_over_lower"] = (
+                series / report.lower * math.exp(math.log1p(eps) / p))
         if beta == 1.0 and p > math.e:
             from . import asymptotics
 

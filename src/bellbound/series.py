@@ -2,8 +2,8 @@
 
 B(p, beta) = e^{-beta} * sum_{k>=0} k^p beta^k / k!  is the p-th moment of
 a Poisson(beta) variable.  The series, walked outward from its largest
-term over every h-th term (h = 1 below beta = TRAPEZOID_MIN_BETA, the step
-of a trapezoid rule above), is the ground-truth evaluator here; an exact
+term over every h-th term (h = 1, or the step h >= 5 of a trapezoid rule
+where that rule certifies tol), is the ground-truth evaluator here; an exact
 Stirling-number (Touchard) path serves as the independent oracle for
 integer p.  Every value travels as a natural log and is exponentiated only
 at the presentation layer: B(p, 1) already overflows double precision near
@@ -306,11 +306,6 @@ def _direct_term(k: int, p: float, m: int, beta: float, log_beta: float,
             + 4.0 * abs(log_pow) + err + 2.0 * abs(d_pois) + 2.0)
 
 
-# From this beta on, bell_dobinski sums by the trapezoid rule, which at
-# p <= 10 breaks even with the unit-step series between beta = 150 and 200.
-TRAPEZOID_MIN_BETA = 200.0
-
-
 def _trapezoid_step(p: float, m: int, tol: float):
     """(h, alias, floor) of the trapezoid rule that replaces the series, or
     None where it cannot certify tol.
@@ -350,10 +345,15 @@ def _trapezoid_step(p: float, m: int, tol: float):
     floor, (sqrt(2 log(2/tol)) + 2) standard deviations below m, is where
     f has fallen far below tol; h is the largest odd step with
     g_h >= log(16/min(tol, 8u)), so that aliasing takes at most tol/8 and
-    leaves the value as exact as the series'.  Without floor > 0 and
-    h >= 3: None.
+    leaves the value as exact as the series'.  None without floor > 0 or
+    h >= 5: nodes, built directly at ~3x a ratio step, make the rule lose
+    to the series at h = 3 (269 against 168 us at (p, beta) = (2, 150),
+    2-vCPU Xeon), break even at h = 5 and win from h = 7.
     """
     var = m / (1.0 + p / m)  # 1/c(m)
+    # h < 5 at any tol, as sd_a <= sqrt(var) and g_min >= log(2/u)
+    if math.pi**2 * var < 12.5 * math.log(2.0 / _U):
+        return None
     log_tol = math.log(tol)  # 1/tol overflows at subnormal tol
     far = math.sqrt(2.0 * (math.log(2.0) - log_tol)) + 2.0
     floor = m - far * math.sqrt(var)
@@ -362,7 +362,7 @@ def _trapezoid_step(p: float, m: int, tol: float):
     sd_a = math.sqrt(floor / (1.0 + p / floor))  # c(floor)^(-1/2)
     g_min = math.log(16.0) - min(log_tol, math.log(8.0 * _U))
     h = 2 * int(0.5 * math.pi * sd_a * math.sqrt(2.0 / g_min) - 0.5) + 1
-    if h < 3:
+    if h < 5:
         return None
     g_h = 2.0 * (math.pi * sd_a / h) ** 2
     a_h, a_1 = (2.0 * math.exp(-g) / -math.expm1(-2.0 * g)  # csch(g)
@@ -505,10 +505,9 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     remainder by its last node: a side's bound is used once its ratio is
     below 1, and the side with the larger bound takes the next node.  At
     h = 1 the walk is the series, whose terms are Gaussian-like with width
-    ~sqrt(beta + p): O(sqrt(beta) * sqrt(log(1/tol))) terms.  From beta =
-    TRAPEZOID_MIN_BETA on, h ~ 0.8 sqrt(beta) is the step of the trapezoid
-    rule of _trapezoid_step, a few dozen nodes at any beta up to DBL_MAX;
-    where that rule cannot certify tol, the walk at h = 1 answers.
+    ~sqrt(beta + p): O(sqrt(beta) * sqrt(log(1/tol))) terms.  Where
+    _trapezoid_step takes a step h >= 5, ~0.7 sqrt(beta), the walk is its
+    trapezoid rule: a few dozen nodes at any beta up to DBL_MAX.
 
     At h = 1 each term is its neighbour times the term ratio,
     (beta / (k + 1)) * (1 + 1/k)^p walking right and its inverse walking
@@ -535,7 +534,7 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
         return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
                           peak_index=m, rounding_bound_log=-math.inf,
                           method="ClosedForm")
-    step = _trapezoid_step(p, m, tol) if beta >= TRAPEZOID_MIN_BETA else None
+    step = _trapezoid_step(p, m, tol)
     return (step and _walk(p, beta, m, tol, *step)) or _walk(p, beta, m, tol)
 
 

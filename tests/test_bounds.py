@@ -430,7 +430,7 @@ class TestBoundReport:
         err = float(abs(Fraction(res.value) - exact) / exact)
         assert err <= math.exp(res.tail_bound_log) + math.exp(
             res.rounding_bound_log) + 2.3e-16
-        assert rep.series_root == res.root(2)
+        assert rep.series == res and rep.series_root == res.root(2)
         assert rep.lower == beta <= rep.series_root <= rep.upper
         assert rep.kminus.holds is True
 

@@ -290,6 +290,22 @@ class TestScan:
         assert [r["beta"] for r in rows[::3]] == [1.0, 1.0]
         assert [r["beta"] for r in rows[2::3]] == [sys.float_info.max] * 2
 
+    def test_ratios_of_proven_bounds_are_at_least_1(self, capsys):
+        # B(1, beta) = beta is Jensen's lower bound, and the series may lie
+        # below it by its tol: each ratio divides by the end of the series'
+        # certified interval that keeps a proven bound's ratio >= 1
+        for axes in (["--p-start", "1", "--p-stop", "1", "--beta-start", "1",
+                      "--beta-stop", "2", "--beta-count", "2"],
+                     ["--p-start", "1", "--p-stop", "2", "--p-count", "2",
+                      "--beta-start", "1", "--beta-stop",
+                      "1.7976931348623157e308", "--beta-count", "3",
+                      "--beta-log"]):
+            code, out = run_main(["scan", *axes, "--format", "json"], capsys)
+            assert code == 0
+            ratios = [row[c] for row in strict_json(out) for c in (
+                "ratio_upper_over_series", "ratio_series_over_lower")]
+            assert min(r for r in ratios if r is not None) >= 1.0
+
     def test_no_upper_bound_is_null(self, capsys):
         code, out = run_main(self.NO_UPPER + ["--format", "json"], capsys)
         assert code == 0

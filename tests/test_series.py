@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellbound import (
@@ -159,11 +159,27 @@ class TestDobinski:
         with pytest.raises(DomainError, match="^root = exp.*double range"):
             res.root(1.0)
 
-    @pytest.mark.parametrize("beta, method", [
-        (199.9, "Series"), (series.TRAPEZOID_MIN_BETA, "Trapezoid"),
-        (1e5, "Trapezoid")])
-    def test_method_switches_at_the_crossover(self, beta, method):
-        assert bell_dobinski(BellQuery(2.5, beta)).method == method
+    @pytest.mark.parametrize("p, beta, method", [
+        (2.5, 170.0, "Series"), (2.5, 199.9, "Trapezoid"),
+        (500.0, 40.0, "Series"), (500.0, 50.0, "Trapezoid"),
+        (2.5, 1e5, "Trapezoid")])
+    def test_method_switches_at_the_crossover(self, p, beta, method):
+        # the rule takes over where _trapezoid_step's h reaches 5
+        assert bell_dobinski(BellQuery(p, beta)).method == method
+
+    def test_step_of_3_is_refused(self):
+        # at (2, 150) the floor lies above 0 and the strip allows h = 3, the
+        # largest odd step below pi sd_a sqrt(2 / g_min); its directly built
+        # nodes would cost more than the series
+        p, beta, tol = 2.0, 150.0, 1e-12
+        m = peak_index(p, beta)
+        far = math.sqrt(2.0 * (math.log(2.0) - math.log(tol))) + 2.0
+        floor = m - far * math.sqrt(m / (1.0 + p / m))
+        sd_a = math.sqrt(floor / (1.0 + p / floor))
+        g_min = math.log(16.0) - math.log(8.0 * series._U)
+        assert floor > 0.0 and 3 <= math.pi * sd_a * math.sqrt(2.0 / g_min) < 5
+        assert series._trapezoid_step(p, m, tol) is None
+        assert bell_dobinski(BellQuery(p, beta), tol=tol).method == "Series"
 
     def test_trapezoid_falls_back_where_it_cannot_certify(self):
         # at tol = 1e-300 the floor below the peak of beta = 250 is under 0
@@ -190,7 +206,8 @@ class TestDobinski:
 
     def test_trapezoid_falls_back_where_its_step_would_be_1(self):
         # at beta = 1800 the floor lies above 0, but the strip below it is
-        # too narrow for a step of 3 at tol = 1e-300: h = 1, refused
+        # too narrow for a step of 5, or even 3, at tol = 1e-300: h = 1,
+        # refused
         p, beta, tol = 2.0, 1800.0, 1e-300
         m = peak_index(p, beta)
         far = math.sqrt(2.0 * (math.log(2.0) - math.log(tol))) + 2.0
@@ -473,7 +490,7 @@ def certificate_holds(res, err, tol):
 
 class TestTrapezoid:
     @given(p=st.floats(1e-3, 500.0),
-           beta=st.floats(math.log10(series.TRAPEZOID_MIN_BETA), 6.0).map(
+           beta=st.floats(math.log10(200), 6.0).map(
                lambda t: 10.0**t),
            tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]))
     @settings(max_examples=30, deadline=None)
@@ -485,7 +502,7 @@ class TestTrapezoid:
         assert certificate_holds(trap, 0.0, tol)
 
     @given(p=st.integers(1, 30), beta=st.floats(
-        math.log10(series.TRAPEZOID_MIN_BETA), 15.0).map(lambda t: 10.0**t),
+        math.log10(200), 15.0).map(lambda t: 10.0**t),
            tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]))
     @settings(max_examples=100, deadline=None)
     def test_vs_exact_touchard(self, p, beta, tol):
@@ -494,6 +511,28 @@ class TestTrapezoid:
         assert res.method == "Trapezoid"
         exact = bell_touchard_exact(p, Fraction(beta))
         assert certificate_holds(res, log_error(res, exact, mpmath), tol)
+
+    @given(p=st.floats(40.0, 500.0), beta=st.floats(10.0, 200.0),
+           tol=st.sampled_from([1e-3, 1e-8, 1e-12, 1e-15]))
+    @settings(max_examples=30, deadline=None)
+    def test_rule_below_beta_200(self, p, beta, tol):
+        # at large p the step reaches 5 well below beta = 200
+        m = peak_index(p, beta)
+        assume(series._trapezoid_step(p, m, tol) is not None)
+        mpmath = pytest.importorskip("mpmath")
+        trap = bell_dobinski(BellQuery(p, beta), tol=tol)
+        steps = unit_steps(p, beta, tol)
+        assert trap.method == "Trapezoid"
+        diff = abs(math.expm1(trap.log_value - steps.log_value))
+        assert diff <= total_certificate(trap) + total_certificate(steps)
+        with mpmath.workdps(50):
+            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
+            k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
+            total = mpmath.fsum(
+                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
+                           - mpmath.loggamma(k + 1) - mb)
+                for k in range(1, k_max))
+        assert certificate_holds(trap, log_error(trap, total, mpmath), tol)
 
     @pytest.mark.parametrize("beta", [1e4, 1e100, sys.float_info.max])
     def test_smallest_tol_stays_on_the_rule(self, beta):
