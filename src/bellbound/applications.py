@@ -49,11 +49,18 @@ class DiscreteDist:
         return in_range("mean", math.fsum, (v * pr for v, pr in self.atoms))
 
     def moment(self, p: float) -> float:
-        what = f"moment of order {p:g}"
+        """E X^p, on the atoms divided by 2**e where the plain powers would
+        leave the double range (_scale_exponent), then scaled back.  At
+        e = 0 it is the plain sum over the atoms, bit for bit and at its
+        cost.  DomainError "moment of order <p> ..." when the moment
+        leaves the double range or its scaled terms underflow."""
         e = _scale_exponent([max(self.atoms)[0]], p)  # the largest value
-        value = in_range(what, math.fsum, (math.ldexp(v, -e)**p * pr
-                                           for v, pr in self.atoms))
-        return _scale_back((value,), e, p, what)[0]
+        try:
+            value = in_range("", math.fsum,
+                             (v**p * pr for v, pr in _scaled(self.atoms, e)))
+            return _scale_back((value,), e, p, "")[0]
+        except DomainError as exc:  # the order is formatted only on refusal
+            raise DomainError(f"moment of order {p:g}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,12 @@ def _scale_exponent(tops: list[float], p: float, samples: int = 0) -> int:
     return max(0, math.floor(bits - room / power) + 1)
 
 
+def _scaled(atoms, e: int):
+    """The (value, prob) atoms with each value divided by 2**e: at e = 0
+    the atoms themselves."""
+    return [(math.ldexp(v, -e), pr) for v, pr in atoms] if e else atoms
+
+
 def _scale_back(values: tuple[float, ...], e: int, p: float,
                 what: str) -> tuple[float, ...]:
     """p-homogeneous values computed on the atoms divided by 2**e, each
@@ -126,12 +139,16 @@ def _scale_back(values: tuple[float, ...], e: int, p: float,
     integer p); DomainError when one leaves the double range.  At large p
     one step of e moves the terms by 2**p, so the scaled first value can
     fall to where its terms underflow: DomainError then too.  At e = 0
-    the values are checked as given (n = frac = 0)."""
-    if e and values[0] < _SCALED_FLOOR:
+    the values are checked as given and returned as they are."""
+    if not e:
+        for v in values:
+            in_range(what, float, v)
+        return values
+    if values[0] < _SCALED_FLOOR:
         raise DomainError(f"{what} underflows when the atoms are "
                           f"scaled by 2**-{e}")
     # e * p without rounding
-    n, frac = divmod(Fraction(p) * e, 1) if e else (0, 0)
+    n, frac = divmod(Fraction(p) * e, 1)
     scale = 2.0 ** float(frac)
     return tuple(in_range(what, math.ldexp, v * scale, n) for v in values)
 
@@ -199,7 +216,7 @@ def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:
     still overflow, which exact_sum_moment refuses."""
     acc = None
     for j, d in enumerate(dists):
-        scaled = [(math.ldexp(v, -e), pr) for v, pr in d.atoms]
+        scaled = _scaled(d.atoms, e)
         moments = [math.fsum([v**i * pr for v, pr in scaled])
                    for i in range(p + 1)]
         if acc is None:

@@ -131,10 +131,12 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     deviance, is strictly concave on [1, inf) with a decreasing convex
     derivative, so Newton's method on its stationary equation, started at
     the largest integer term (the query's shared peak, q.peak) and clamped
-    to x >= 1, converges (monotonically after the first step).  Where the
-    slope at x = 1, p + ln beta - 5/12, is <= 0, the maximum is at x = 1:
-    then 2^(p-1) beta < 1, so the largest term is the first, and the
-    clamped first step stays there.
+    to x >= 1, converges (monotonically after the first step, by shrinking
+    steps: it starts within about 1 of the root).  A later step that does
+    not shrink is rounding, a cycle between doubles a few ulps apart, and
+    ends the loop.  Where the slope at x = 1, p + ln beta - 5/12, is <= 0,
+    the maximum is at x = 1: then 2^(p-1) beta < 1, so the largest term is
+    the first, and the clamped first step stays there.
     The curvature is formed without x * x, which overflows from x ~ 1.3e154.
     Evaluating the objective through D avoids the cancellation of x ln beta
     against x ln x, both of size ~beta ln beta.  DomainError from
@@ -145,13 +147,15 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
     x = float(q.peak)
-    for _ in range(100):  # <= 7 steps seen; the cap stops a rounding cycle
+    last = math.inf
+    for _ in range(100):  # <= 7 steps seen; the cap is a backstop
         slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
         curv = -((p - 0.5) / x + 1.0 + 1.0 / (6.0 * x * x)) / x
         x_new = max(1.0, x - slope / curv)
-        if abs(x_new - x) <= 1e-15 * x:
+        step = abs(x_new - x)
+        if step <= 1e-15 * x or step >= last:  # converged, or a cycle
             break
-        x = x_new
+        x, last = x_new, step
     log_term_x = (p * math.log(x) - _poisson_deviance(x, beta)[0]
                   - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x))
     n = max(1, math.floor(x))

@@ -493,6 +493,39 @@ class TestScaledMoments:
         assert exact_sum_moment([d], 1000).value == pytest.approx(
             want, rel=1e-15)
 
+    def test_no_atom_is_rescaled_in_range(self, monkeypatch):
+        # e = 0: the atoms and the results are taken as they are
+        calls = []
+        ldexp = math.ldexp
+
+        def counted(*args):
+            calls.append(args)
+            return ldexp(*args)
+
+        monkeypatch.setattr(math, "ldexp", counted)
+        d = DiscreteDist(((0.5, 0.25), (3.0, 0.75)))
+        for p in (2.0, 3.0, 4.0):
+            d.moment(p)
+            exact_sum_moment([d, COIN, d], p)
+        assert calls == []
+        # e = 77: the atoms themselves are divided by 2**77
+        self.TINY_TAIL.moment(4)
+        assert (1e100, -77) in calls
+        calls.clear()
+        exact_sum_moment([self.TINY_TAIL], 4)
+        assert (1e100, -77) in calls
+
+    @given(dists=st.lists(moment_dists.filter(lambda d: len(d.atoms) >= 2),
+                          min_size=1, max_size=12),
+           p=st.sampled_from([2.0, 3.0, 4.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_sums_where_the_powers_fit(self, dists, p):
+        # README: at e = 0 the results are the plain sums, bit for bit
+        for d in dists:
+            assert d.moment(p) == math.fsum([v**p * pr for v, pr in d.atoms])
+        plain = applications._convolved_moment(dists, int(p), 0)
+        assert exact_sum_moment(dists, p).value == plain
+
     def test_refuses_what_scaling_underflows(self):
         # 1.627**1713 overflows and one step of scaling moves the terms by
         # 2**-1713, below the double range: refused, not returned as ~0

@@ -240,6 +240,26 @@ class TestLowerHContinuous:
         assert abs(x_star - k) <= 1 + 1e-15 * k
         assert val == pytest.approx(lower_h0_search(q).root_bound, rel=1e-9)
 
+    @pytest.mark.parametrize("p,beta", [
+        (17.0, 4953.922018879395), (126.97693067172546, 64780.48444213749)])
+    def test_newton_stops_at_a_rounding_cycle(self, monkeypatch, p, beta):
+        # Newton's iterate alternates between two doubles 10 ulps apart, a
+        # step above its 1e-15 x stop; it must stop at the first step that
+        # does not shrink, not at the 100-step cap.  Each step calls max
+        # once, and so does n = max(1, floor(x_star)) after the loop.
+        q = BellQuery(p, beta)
+        k = q.peak  # searched before max is counted
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return max(*args)
+
+        monkeypatch.setattr(bounds, "max", counted, raising=False)
+        _, x_star = lower_h_continuous(q)
+        assert len(calls) <= 8
+        assert abs(x_star - k) <= 1.0
+
     def test_capped_below_series_at_tiny_beta(self):
         # the smoothed sup lies 6% above B^{1/p} here; the cap at
         # (t_n + t_{n+1})^{1/p}, n = floor(x_star), keeps it below
