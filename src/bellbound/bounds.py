@@ -32,6 +32,7 @@ from .series import (
     EvalResult,
     Regime,
     bell_dobinski,
+    _log_term_ratio,
     _poisson_deviance,
     in_range,
     lambert_w,
@@ -118,14 +119,18 @@ def lower_h0_search(q: BellQuery) -> H0Result:
 def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     """Stirling-smoothed single-term lower bound on B^{1/p}:
     sup over real x >= 1 of [e^{-b} x^p b^x / zeta(x)]^{1/p}, capped at
-    (t_n + t_{n+1})^{1/p} with n = max(1, floor(x_star)).
+    (t_n + t_{n+1})^{1/p}: the largest term t_m, m = q.peak, and its
+    neighbour on x_star's side, n = m - (x_star < m).
 
     zeta(x) >= x! makes each smoothed term at integer x no larger than the
     true term.  Between integers nothing bounds it: at small beta, where
     the terms fall steeply, the sup can lie above B^{1/p} (6% above at
     (p, beta) = (444.65, 5.8e-135)).  The two terms of the cap belong to
     the series, so the capped value is a proven lower bound; the cap binds
-    only below beta ~ 1.3e-3.  Returns (bound, x_star).
+    only below beta ~ 1.3e-3.  Its log is log t_m + log1p(e^-|r|), r the
+    pair's log term ratio.  n = max(1, floor(x_star)) up to beta ~ 1e13;
+    from ~3e14 x_star strays a few indices from m, where the pair through
+    t_m is the larger.  Returns (bound, x_star).
 
     The log-objective p ln x - D(x) - ln(2 pi x)/2 - 1/(12x), D the Poisson
     deviance, is strictly concave on [1, inf) with a decreasing convex
@@ -146,7 +151,8 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
     log_beta = math.log(beta)
-    x = float(q.peak)
+    m = q.peak
+    x = float(m)
     last = math.inf
     for _ in range(100):  # <= 7 steps seen; the cap is a backstop
         slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
@@ -158,9 +164,9 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
         x, last = x_new, step
     log_term_x = (p * math.log(x) - _poisson_deviance(x, beta)[0]
                   - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x))
-    n = max(1, math.floor(x))
-    lo, hi = sorted((log_term(n, p, beta), log_term(n + 1, p, beta)))
-    log_cap = hi + math.log1p(math.exp(lo - hi))
+    n = m - (x < m)
+    log_cap = log_term(m, p, beta) + math.log1p(
+        math.exp(-abs(_log_term_ratio(n, p, beta, log_beta))))
     return in_range("the smoothed term^(1/p)", math.exp,
                     min(log_term_x, log_cap) / p), x
 
@@ -381,10 +387,11 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     series.  A series refusal, such as p past series.P_MAX, lands in errors
     like any candidate's.
 
-    Lower: the largest of H0Search, HContinuous (capped at two series terms)
-    and Jensen's beta, a tie going to the larger method name.  Upper: the
-    optimized MGF bound, GOptimized, the one reported upper candidate.  The
-    regime labels the report; LargeBeta also carries the K- candidate.
+    Lower: the largest of H0Search, HContinuous (capped at the largest
+    series term and its neighbour) and Jensen's beta, a tie going to the
+    larger method name.  Upper: the optimized MGF bound, GOptimized, the one
+    reported upper candidate.  The regime labels the report; LargeBeta also
+    carries the K- candidate.
     """
     if q.p < 1:
         raise DomainError(f"bound_report requires p >= 1, got p={q.p}")

@@ -123,9 +123,9 @@ _U = 2.0**-53
 # grows over at most _REANCHOR - 1 ratio steps.
 _REANCHOR = 32
 
-# Exact log(k!) for k <= _LOG_FACTORIAL_MAX, each exactly rounded (lgamma(3)
-# is off log(2) by one ulp, enough to break exact term ties).  Beyond it the
-# Stirling remainder below is accurate to well under an ulp.
+# Exact log(k!) for k <= _LOG_FACTORIAL_MAX, each exactly rounded, as
+# _log_poisson's bound charges (lgamma(3) is off log(2) by one ulp).  Beyond
+# it the Stirling remainder below is accurate to well under an ulp.
 _LOG_FACTORIAL_MAX = 20
 _LOG_FACTORIAL = tuple(math.log(math.factorial(k))
                        for k in range(_LOG_FACTORIAL_MAX + 1))
@@ -207,16 +207,9 @@ def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
 
 def log_term(k: int, p: float, beta: float) -> float:
     """Natural log of the k-th Dobinski term e^{-beta} k^p beta^k / k!, for
-    k >= 1.
-
-    For k > 20, k log beta - beta - log k! is evaluated as in _log_poisson,
-    -(k log(k/beta) + beta - k) - log(2 pi k)/2 - (Stirling remainder), so
-    operands of size k log k never cancel.
-    """
-    if k <= _LOG_FACTORIAL_MAX:
-        # this association keeps exact ties exact, e.g. t_2 = t_3 at
-        # (p, beta) = (1, 2)
-        return p * math.log(k) + k * math.log(beta) - _LOG_FACTORIAL[k] - beta
+    k >= 1, as the walk forms its peak term: p log k plus _log_poisson's
+    value.  It errs by at most _U (pois_err + 3|p log k| + |log t_k|),
+    pois_err the bound that _log_poisson returns."""
     return p * math.log(k) + _log_poisson(k, beta, math.log(beta))[0]
 
 
@@ -256,19 +249,19 @@ def _log_term_ratio(k: int, p: float, beta: float, log_beta: float) -> float:
 
 
 def peak_index(p: float, beta: float) -> int:
-    """Index of the largest Dobinski term: the smallest k >= 1 with
-    t_{k+1} <= t_k, so the earlier index of a tied pair.
+    """Index of the largest Dobinski term: the smallest k >= 1 whose
+    computed log term ratio, _log_term_ratio, is <= 0.  At an exact tie
+    t_k = t_{k+1} that is the earlier index k wherever the ratio there
+    rounds to 0 (t_2 = t_3 at (p, beta) = (1, 2), say), and k + 1 where it
+    rounds above 0; either is a largest term.
 
-    Bisects on the strictly decreasing log term ratio, whose sign changes
-    between k = floor(beta) - 1 and k = beta + p + 1: O(log(p + 3))
-    evaluations.  For k + 1 < beta the ratio is > 0, and is computed so:
+    Bisects on the strictly decreasing ratio, whose sign changes between
+    k = floor(beta) - 1 and k = beta + p + 1: O(log(p + 3)) evaluations.
+    For k + 1 < beta the ratio is > 0, and is computed so:
     p * log1p(1/k) >= 0 plus log(beta) - log(k + 1) > 0, or -log1p(d / beta)
     > 0 with an exact d = k + 1 - beta < 0 (from 2**52, the exact lead term
-    p/k - d/beta).  A ratio of exactly 0 is a tie (t_2 = t_3 at
-    (p, beta) = (1, 2), say); below 2**52 it is settled on log_term, so that
-    the peak is the larger of the pair as log_term ranks them.  Above,
-    neighbouring log_terms agree to within their rounding.  A peak with no
-    double (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
+    p/k - d/beta).  A peak with no double (p ~ 1e300 at beta = DBL_MAX,
+    say) is refused with DomainError.
     """
     log_beta = math.log(beta)
     lo, hi = max(1, math.floor(beta) - 1), math.ceil(beta) + math.ceil(p) + 1
@@ -280,9 +273,6 @@ def peak_index(p: float, beta: float) -> int:
             lo = mid
         else:
             hi = mid
-    if (beta < _INTEGER_FLOATS and _log_term_ratio(hi, p, beta, log_beta) == 0.0
-            and log_term(hi + 1, p, beta) > log_term(hi, p, beta)):
-        return hi + 1
     if hi >= 2**1024 - 2**970:  # the least int that float() refuses
         raise DomainError(f"peak index of p={p}, beta={beta} exceeds DBL_MAX")
     return hi

@@ -246,7 +246,7 @@ class TestLowerHContinuous:
         # Newton's iterate alternates between two doubles 10 ulps apart, a
         # step above its 1e-15 x stop; it must stop at the first step that
         # does not shrink, not at the 100-step cap.  Each step calls max
-        # once, and so does n = max(1, floor(x_star)) after the loop.
+        # once; the cap's n = m - (x_star < m) calls none.
         q = BellQuery(p, beta)
         k = q.peak  # searched before max is counted
         calls = []
@@ -259,6 +259,44 @@ class TestLowerHContinuous:
         _, x_star = lower_h_continuous(q)
         assert len(calls) <= 8
         assert abs(x_star - k) <= 1.0
+
+    @staticmethod
+    def caps(q, x_star):
+        # the cap's log as lower_h_continuous forms it, from t_m and the
+        # ratio to its neighbour n on x_star's side, and log(t_k + t_{k+1})
+        # from two log_terms at k = max(1, floor(x_star))
+        p, beta, m = q.p, q.beta, q.peak
+        n = m - (x_star < m)
+        cap = log_term(m, p, beta) + math.log1p(math.exp(-abs(
+            series._log_term_ratio(n, p, beta, math.log(beta)))))
+        k = max(1, math.floor(x_star))
+        a, b = log_term(k, p, beta), log_term(k + 1, p, beta)
+        return n, cap, k, a, b, max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+    @given(p=log_uniform(1e-3, 500.0), beta=log_uniform(1e-300, 1e13))
+    @settings(max_examples=200, deadline=None)
+    def test_cap_is_the_pair_at_floor_x_star(self, p, beta):
+        q = BellQuery(p, beta)
+        val, x_star = lower_h_continuous(q)
+        n, cap, k, a, b, pair = self.caps(q, x_star)
+        assert n == k
+        # 4 ulps of the largest operand of the two logs: p log k, the logs
+        # themselves, and k log beta where log k! comes from the table
+        scale = max(abs(a), abs(b), p * math.log(k + 1),
+                    min(k + 1, 20) * abs(math.log(beta)) if k <= 20 else 0.0)
+        assert abs(cap - pair) <= 4 * math.ulp(scale)
+        assert val <= math.exp(cap / p)
+
+    def test_cap_holds_the_peak_where_x_star_strays(self):
+        # x_star lies ~4 below the peak here, so the pair at floor(x_star)
+        # misses t_m; the pair through t_m is the larger, exactly by ~4.6
+        # ulps and as computed by 5
+        q = BellQuery(1.1666637574722798, 678525004858732.6)
+        val, x_star = lower_h_continuous(q)
+        n, cap, k, _, _, pair = self.caps(q, x_star)
+        assert n == q.peak - 1 and k + 1 < q.peak
+        assert cap >= pair
+        assert val <= math.exp(cap / q.p)
 
     def test_capped_below_series_at_tiny_beta(self):
         # the smoothed sup lies 6% above B^{1/p} here; the cap at

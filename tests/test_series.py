@@ -252,13 +252,37 @@ class TestPeakIndex:
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 7.5, 30.0, 500.0])
     @pytest.mark.parametrize("beta", [1e-3, 0.5, 2.0, 17.3, 300.0, 4321.0])
     def test_matches_linear_scan(self, p, beta):
-        assert peak_index(p, beta) == self.linear_scan(p, beta)
+        # at integer p the exact peak: the float scan follows log_term's
+        # last-ulp ranking at exact ties, (2, 0.5), (0, 300) and (0, 4321)
+        want = (self.exact_peak(int(p), beta) if p == int(p)
+                else self.linear_scan(p, beta))
+        assert peak_index(p, beta) == want
 
     def test_exact_tie(self):
-        # p = 1, beta = 2: t_2 = t_3 = 4 e^{-2}; the earlier index wins
-        assert log_term(2, 1.0, 2.0) == log_term(3, 1.0, 2.0)
+        # p = 1, beta = 2: t_2 = t_3 = 4 e^{-2}; the ratio between them is
+        # computed as exactly 0, so the earlier index wins
+        assert series._log_term_ratio(2, 1.0, 2.0, math.log(2.0)) == 0.0
         assert peak_index(1.0, 2.0) == 2
         assert bell_dobinski(BellQuery(1.0, 2.0)).peak_index == 2
+
+    def test_exact_ties(self):
+        # t_k = t_{k+1} where beta = k^p / (k+1)^(p-1); every such beta that
+        # is a double, for integer p in [0, 8] and k < 200
+        ties = 0
+        for p in range(9):
+            for k in range(1, 200):
+                b = Fraction(k) ** p / Fraction(k + 1) ** (p - 1)
+                beta = float(b)
+                if Fraction(beta) != b:
+                    continue
+                ties += 1
+                m = peak_index(float(p), beta)
+                # t_{m+1} <= t_m >= t_{m-1}, exactly: a largest term
+                assert Fraction(m + 1) ** (p - 1) * b <= m**p
+                assert m == 1 or Fraction(m) ** (p - 1) * b >= (m - 1) ** p
+                if series._log_term_ratio(k, p, beta, math.log(beta)) <= 0.0:
+                    assert m == k
+        assert ties == 446
 
     @pytest.mark.parametrize("p", [0.0, 2.0, 800.0, 2000.0])
     @pytest.mark.parametrize("beta", [5e-324, 1e-320])
@@ -273,7 +297,7 @@ class TestPeakIndex:
         lo, hi = 0, math.ceil(b) + p + 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if (mid + 1) ** (p - 1) * b <= mid**p:
+            if Fraction(mid + 1) ** (p - 1) * b <= mid**p:
                 hi = mid
             else:
                 lo = mid
@@ -595,6 +619,27 @@ class TestPoissonRounding:
         k = small if use_small else max(1, round(beta * math.exp(spread)))
         seen, err = self.error_in_units(k, beta)
         assert seen <= err
+
+    @given(p=st.floats(-3.0, math.log10(500.0)).map(lambda t: 10.0**t),
+           beta=st.floats(-300.0, 6.0).map(lambda t: 10.0**t),
+           k=st.floats(0.0, 6.0).map(lambda t: round(10.0**t)),
+           at_peak=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_log_term_within_the_walks_charge(self, p, beta, k, at_peak):
+        # the charge _walk puts on its peak term: the Poisson log's bound,
+        # 3 |p log k| for p log k and |log t_k| for the sum
+        mpmath = pytest.importorskip("mpmath")
+        if at_peak:
+            k = peak_index(p, beta)
+        got = log_term(k, p, beta)
+        pois_err = series._log_poisson(k, beta, math.log(beta))[1]
+        with mpmath.workdps(50):
+            mb = mpmath.mpf(beta)
+            want = (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
+                    - mpmath.loggamma(k + 1))
+            seen = float(abs(got - want))
+        assert seen <= series._U * (
+            pois_err + 3.0 * abs(p * math.log(k)) + abs(got))
 
     @given(p=st.floats(1e-3, 500.0), beta=st.floats(-3.0, 3.0).map(
         lambda t: 10.0**t))
