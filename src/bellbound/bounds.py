@@ -9,12 +9,15 @@ objectives are evaluated in log-space.  CANDIDATES lists every public bound
 once; the sandwich suite checks them all, and bound_report ranks the reported
 ones, with GOptimized alone on the upper side.  Every bound leaves log
 space through series.in_range, so it returns a finite double or raises
-DomainError.  The largest term's index, BellQuery.peak, is searched once
-per query and shared by the series, H0Search and HContinuous.  Where it
-has no double (p ~ 1e300 at beta = DBL_MAX), series.peak_index refuses
-on every access, and where p log k passes DBL_MAX (p ~ 2.6e305 at
-beta = 1) the single terms do; either way H0Search and HContinuous are
-refused and the report answers with Jensen.
+DomainError.  Each query computes its peak frame, BellQuery.frame (the
+largest term's index m and log t_m), and the MGF optimum
+BellQuery.lambda_star once: the series, H0Search and HContinuous share
+the frame, and GOptimized reads lambda_star, which bound_report computes
+first so that it also seeds the peak search.  Where m has no double
+(p ~ 1e300 at beta = DBL_MAX), series.peak_index refuses on every access,
+and where p log k passes DBL_MAX (p ~ 2.6e305 at beta = 1) the single
+terms do; either way H0Search and HContinuous are refused and the report
+answers with Jensen.
 """
 from __future__ import annotations
 
@@ -32,10 +35,10 @@ from .series import (
     EvalResult,
     Regime,
     bell_dobinski,
+    _lambda0,
     _log_term_ratio,
     _poisson_deviance,
     in_range,
-    lambert_w,
     log_mgf_bound,
     log_term,
 )
@@ -45,31 +48,18 @@ K_MINUS_FORMULA = (2.0 * math.pi) ** -0.5 * math.exp(-1.0 / (2.0 * math.e) + 1.0
 K_MINUS_PAPER = 0.6538
 
 
-def _lambda0(q: BellQuery) -> tuple[float, float]:
-    """(ln r, lambda0 = ln r - lnln r) for r = p/beta >= 2, taken from logs
-    so that both stay finite where p/beta overflows; lambda0 >= 1."""
-    log_r = math.log(q.p) - math.log(q.beta)
-    return log_r, log_r - math.log(log_r)
-
-
 def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
     """Optimized MGF upper bound on B^{1/p}: g_beta(p) = inf over lambda of
     the Chernoff bound.  Returns (bound, lambda_star).
 
     The log-objective is strictly convex in lambda and stationary where
-    lambda * e^lambda = p/beta, so lambda_star = W(p/beta) in closed form.
-    Where p/beta overflows, lambda_star solves lambda + ln lambda = ln(p/beta)
-    instead, by Newton from lambda0: its error ~ lnln r / ln r < 0.01 falls
-    below an ulp in two steps.
+    lambda * e^lambda = p/beta, so lambda_star = W(p/beta) in closed form:
+    the query's q.lambda_star, computed once per query (from logs where
+    p/beta overflows) and shared with the peak search.
     """
     if q.p < 1:
         raise DomainError(f"upper_g_optimized requires p >= 1, got p={q.p}")
-    if q.ratio < math.inf:
-        lam = lambert_w(q.ratio)
-    else:
-        log_r, lam = _lambda0(q)
-        for _ in range(3):
-            lam -= (lam + math.log(lam) - log_r) / (1.0 + 1.0 / lam)
+    lam = q.lambda_star
     g = in_range("upper_g_optimized", math.exp, log_mgf_bound(q, lam))
     # g >= B^{1/p} >= beta (Jensen), which rounding breaks past beta ~ 1e14
     return max(g, q.beta), lam
@@ -86,8 +76,7 @@ def upper_closed_form_largep(q: BellQuery) -> float:
                     log_mgf_bound(q, _lambda0(q)[1]))
 
 
-@dataclass(frozen=True)
-class H0Result:
+class H0Result(NamedTuple):
     """Largest single Dobinski term: a rigorous lower bound on B(p, beta)."""
 
     log_bound_on_b: float
@@ -105,22 +94,22 @@ def lower_h0_search(q: BellQuery) -> H0Result:
     """Max over integer k >= 1 of the Dobinski term e^{-b} k^p b^k / k!.
 
     The terms are unimodal in k (strictly decreasing ratio), so the maximum
-    sits at the query's peak, q.peak: searched once per query (bisection
-    by series.peak_index, O(log(beta + p))) and shared with the series.
-    Its root_bound is refused from p ~ 2.6e305 (at beta = 1), where
-    p log k passes DBL_MAX.
+    sits at the query's peak, and its log is the peak frame's log t_m:
+    q.frame, computed once per query (series.peak_index, seeded at
+    lambda_star) and shared with the series.  Its root_bound is refused
+    from p ~ 2.6e305 (at beta = 1), where p log k passes DBL_MAX.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
-    k = q.peak
-    return H0Result(log_bound_on_b=log_term(k, q.p, q.beta), k_star=k, p=q.p)
+    m, _, _, _, log_peak, _ = q.frame
+    return H0Result(log_bound_on_b=log_peak, k_star=m, p=q.p)
 
 
 def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     """Stirling-smoothed single-term lower bound on B^{1/p}:
     sup over real x >= 1 of [e^{-b} x^p b^x / zeta(x)]^{1/p}, capped at
-    (t_n + t_{n+1})^{1/p}: the largest term t_m, m = q.peak, and its
-    neighbour on x_star's side, n = m - (x_star < m).
+    (t_n + t_{n+1})^{1/p}: the largest term t_m, from the query's peak
+    frame q.frame, and its neighbour on x_star's side, n = m - (x_star < m).
 
     zeta(x) >= x! makes each smoothed term at integer x no larger than the
     true term.  Between integers nothing bounds it: at small beta, where
@@ -139,9 +128,13 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     to x >= 1, converges (monotonically after the first step, by shrinking
     steps: it starts within about 1 of the root).  A later step that does
     not shrink is rounding, a cycle between doubles a few ulps apart, and
-    ends the loop.  Where the slope at x = 1, p + ln beta - 5/12, is <= 0,
-    the maximum is at x = 1: then 2^(p-1) beta < 1, so the largest term is
-    the first, and the clamped first step stays there.
+    ends the loop; a step of at most 1e-15 x is taken and ends it.  Within
+    a factor 2 of beta the slope's ln(x/beta) is log1p((x - beta)/beta),
+    x - beta exact (Sterbenz), as in series._log_term_ratio: ln x - ln beta
+    cancels there to an ulp of ln beta, which put x_star 4 indices below
+    the root at beta ~ 7e14.  Where the slope at x = 1, p + ln beta - 5/12,
+    is <= 0, the maximum is at x = 1: then 2^(p-1) beta < 1, so the largest
+    term is the first, and the clamped first step stays there.
     The curvature is formed without x * x, which overflows from x ~ 1.3e154.
     Evaluating the objective through D avoids the cancellation of x ln beta
     against x ln x, both of size ~beta ln beta.  DomainError from
@@ -150,22 +143,27 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     if q.p <= 0:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
-    log_beta = math.log(beta)
-    m = q.peak
+    m, log_beta, _, _, log_peak, _ = q.frame
     x = float(m)
     last = math.inf
     for _ in range(100):  # <= 7 steps seen; the cap is a backstop
-        slope = (p - 0.5) / x - (math.log(x) - log_beta) + 1.0 / (12.0 * x * x)
+        if 0.5 * beta <= x <= 2.0 * beta:
+            log_ratio = math.log1p((x - beta) / beta)
+        else:
+            log_ratio = math.log(x) - log_beta
+        slope = (p - 0.5) / x - log_ratio + 1.0 / (12.0 * x * x)
         curv = -((p - 0.5) / x + 1.0 + 1.0 / (6.0 * x * x)) / x
         x_new = max(1.0, x - slope / curv)
         step = abs(x_new - x)
-        if step <= 1e-15 * x or step >= last:  # converged, or a cycle
+        if step >= last:  # a rounding cycle
             break
         x, last = x_new, step
+        if step <= 1e-15 * x:  # converged: the last step is taken
+            break
     log_term_x = (p * math.log(x) - _poisson_deviance(x, beta)[0]
                   - 0.5 * math.log(2.0 * math.pi * x) - 1.0 / (12.0 * x))
     n = m - (x < m)
-    log_cap = log_term(m, p, beta) + math.log1p(
+    log_cap = log_peak + math.log1p(
         math.exp(-abs(_log_term_ratio(n, p, beta, log_beta))))
     return in_range("the smoothed term^(1/p)", math.exp,
                     min(log_term_x, log_cap) / p), x
@@ -212,8 +210,7 @@ def regime_upper_largebeta(q: BellQuery) -> float:
     return in_range("K+ * beta", operator.mul, K_PLUS, q.beta)
 
 
-@dataclass(frozen=True)
-class KMinusBound:
+class KMinusBound(NamedTuple):
     """The K- * beta lower-bound candidate; `holds` records whether the
     proof K- * beta <= beta <= B^{1/p} (Jensen) applies, i.e. K- <= 1."""
 
@@ -325,6 +322,9 @@ class BoundReport:
         }
 
 
+_H0_WITNESS = attrgetter("root_bound", "k_star")
+
+
 class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
     """One public bound on B^{1/p}: `evaluate` returns (value on the B^{1/p}
     scale, witness), the witness reported under `witness_key`; bound_report
@@ -352,8 +352,8 @@ class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
 # never below GOptimized, its infimum; RoughTriangle is checked, not
 # reported.
 CANDIDATES = (
-    Candidate("H0Search", "lower", True, "k_star", lambda q:
-              attrgetter("root_bound", "k_star")(lower_h0_search(q))),
+    Candidate("H0Search", "lower", True, "k_star",
+              lambda q: _H0_WITNESS(lower_h0_search(q))),
     Candidate("HContinuous", "lower", True, "x_star",
               lambda q: lower_h_continuous(q)),
     Candidate("Jensen", "lower", True, None, lambda q: (lower_jensen(q), None)),
@@ -372,45 +372,46 @@ CANDIDATES = (
 )
 
 
-def _attempt(errors: list[str], label: str, thunk):
-    """thunk(), or None with "<label>: <message>" appended to errors when
-    it raises a DomainError."""
-    try:
-        return thunk()
-    except DomainError as exc:
-        errors.append(f"{label}: {exc}")
-        return None
-
-
 def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     """Evaluate the reported CANDIDATES for q and cross-check against the
     series.  A series refusal, such as p past series.P_MAX, lands in errors
-    like any candidate's.
+    like any candidate's, as "<name>: <message>", in CANDIDATES order after
+    the series.
 
     Lower: the largest of H0Search, HContinuous (capped at the largest
     series term and its neighbour) and Jensen's beta, a tie going to the
     larger method name.  Upper: the optimized MGF bound, GOptimized, the one
     reported upper candidate.  The regime labels the report; LargeBeta also
-    carries the K- candidate.
+    carries the K- candidate.  q.lambda_star, which GOptimized reads, is
+    computed first, so that it seeds the peak search of q.frame, which the
+    series, H0Search and HContinuous share: one Lambert W and one seeded
+    search per report.
     """
     if q.p < 1:
         raise DomainError(f"bound_report requires p >= 1, got p={q.p}")
     regime = q.regime
     errors: list[str] = []
     witness: dict = {}
-    series = _attempt(errors, "series", lambda: bell_dobinski(q, tol=series_tol))
-    if series and _attempt(errors, "series", lambda: series.root(q.p)) is None:
+    q.lambda_star  # first, so that it seeds the peak search
+    try:
+        series = bell_dobinski(q, tol=series_tol)
+        series.root(q.p)
+    except DomainError as exc:
+        errors.append(f"series: {exc}")
         series = None
 
     cands: dict[str, list[tuple[float, str]]] = {"lower": [], "upper": []}
     for c in CANDIDATES:
         if not c.reported:
             continue
-        got = _attempt(errors, c.name, lambda: c.evaluate(q))
-        if got is not None:
-            cands[c.side].append((got[0], c.name))
-            if c.witness_key:
-                witness[c.witness_key] = got[1]
+        try:
+            value, witness_value = c.evaluate(q)
+        except DomainError as exc:
+            errors.append(f"{c.name}: {exc}")
+            continue
+        cands[c.side].append((value, c.name))
+        if c.witness_key:
+            witness[c.witness_key] = witness_value
 
     kminus = regime_lower_largebeta(q) if regime is Regime.LARGE_BETA else None
     lower, lower_method = max(cands["lower"], default=(math.nan, "none"))

@@ -31,10 +31,12 @@ class Regime(Enum):
 class BellQuery:
     """A (p, beta) evaluation point.  p >= 0, beta > 0.
 
-    The index of its largest Dobinski term, `peak`, is searched once per
-    query, on first use, and shared by the series and the single-term
-    bounds.  It is not a field: equality, hashing, repr and
-    dataclasses.replace see only p and beta.
+    Two things are computed once per query, on first use, and shared: its
+    peak frame, `frame` (the index `peak` of its largest Dobinski term and
+    that term's log), which the series, H0Search and HContinuous read, and
+    the MGF optimum `lambda_star`, which GOptimized reads and which seeds
+    the peak search wherever it is known first.  Neither is a field:
+    equality, hashing, repr and dataclasses.replace see only p and beta.
     """
 
     p: float
@@ -51,15 +53,50 @@ class BellQuery:
         return self.p / self.beta
 
     @cached_property
+    def lambda_star(self) -> float:
+        """The MGF optimum lambda* = W(p/beta), where lambda e^lambda = p/beta.
+        Where p/beta overflows, lambda* solves lambda + ln lambda = ln(p/beta)
+        instead, by Newton from lambda0 = ln r - lnln r (_lambda0): its error
+        ~ lnln r / ln r < 0.01 falls below an ulp in two steps."""
+        if self.ratio < math.inf:
+            return lambert_w(self.ratio)
+        log_r, lam = _lambda0(self)
+        for _ in range(3):
+            lam -= (lam + math.log(lam) - log_r) / (1.0 + 1.0 / lam)
+        return lam
+
+    @cached_property
+    def frame(self) -> tuple:
+        """_peak_frame at m = peak_index(p, beta), on first access.  The
+        search is seeded at lambda_star where that is known already, and
+        otherwise from p = _SEED_MIN_P = 30, where a Lambert W (~1.1 us,
+        about 3 ratio evaluations) starts to pay: the seeded and plain
+        searches break even there (3.9 us each, beta log-uniform in
+        [0.1, 1e5], 2-vCPU Xeon), and at p = 100 take 3.8 and 4.4 us.  A
+        refusal is not cached, so each access that needs the peak raises it
+        again."""
+        p, beta = self.p, self.beta
+        lam = self.__dict__.get("lambda_star")
+        if lam is None and p >= _SEED_MIN_P:
+            lam = self.lambda_star
+        return _peak_frame(p, beta, peak_index(p, beta, lam))
+
+    @cached_property
     def peak(self) -> int:
-        """peak_index(p, beta), searched on first access.  A refusal is not
-        cached, so each access that needs the peak raises it again."""
-        return peak_index(self.p, self.beta)
+        """peak_index(p, beta): the frame's m."""
+        return self.frame[0]
 
     @property
     def regime(self) -> Regime:
         # Tie at p/beta == 2 resolves to LARGE_P.
         return Regime.LARGE_P if self.ratio >= 2.0 else Regime.LARGE_BETA
+
+
+def _lambda0(q: BellQuery) -> tuple[float, float]:
+    """(ln r, lambda0 = ln r - lnln r) for r = p/beta >= 2, taken from logs
+    so that both stay finite where p/beta overflows; lambda0 >= 1."""
+    log_r = math.log(q.p) - math.log(q.beta)
+    return log_r, log_r - math.log(log_r)
 
 
 @dataclass(frozen=True)
@@ -207,10 +244,27 @@ def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
 
 def log_term(k: int, p: float, beta: float) -> float:
     """Natural log of the k-th Dobinski term e^{-beta} k^p beta^k / k!, for
-    k >= 1, as the walk forms its peak term: p log k plus _log_poisson's
+    k >= 1, as _peak_frame forms log t_m: p log k plus _log_poisson's
     value.  It errs by at most _U (pois_err + 3|p log k| + |log t_k|),
     pois_err the bound that _log_poisson returns."""
     return p * math.log(k) + _log_poisson(k, beta, math.log(beta))[0]
+
+
+def _peak_frame(p: float, beta: float, m: int) -> tuple:
+    """The peak frame at m, the tuple (m, log_beta, log_pois, pois_err,
+    log_peak, peak_err): log_pois, the log of the Poisson(beta) mass at m,
+    with its rounding bound pois_err in units of _U (_log_poisson), and
+    log_peak = log t_m, as log_term forms it.  log_peak errs by peak_err
+    plus _U pois_err: errors in p log m (and in float(m), past 2**53) and in
+    the addition make peak_err.  A tuple, as a NamedTuple costs each query
+    ~0.4 us more."""
+    log_beta = math.log(beta)
+    log_pois, pois_err = _log_poisson(m, beta, log_beta)
+    log_pow = p * math.log(m)
+    log_peak = log_pow + log_pois
+    peak_err = _U * (3.0 * abs(log_pow) + abs(log_peak)
+                     + (p if m > 2**53 else 0.0))
+    return m, log_beta, log_pois, pois_err, log_peak, peak_err
 
 
 # Doubles from 2**52 up are integers.
@@ -248,25 +302,52 @@ def _log_term_ratio(k: int, p: float, beta: float, log_beta: float) -> float:
     return lead + p * _log1p_minus_x(1 / k) - _log1p_minus_x(d / b)
 
 
-def peak_index(p: float, beta: float) -> int:
+# The least p from which BellQuery.frame computes lambda_star only to seed
+# the peak search; its docstring gives the measurement.
+_SEED_MIN_P = 30.0
+
+
+def peak_index(p: float, beta: float, lam: float | None = None) -> int:
     """Index of the largest Dobinski term: the smallest k >= 1 whose
-    computed log term ratio, _log_term_ratio, is <= 0.  At an exact tie
+    computed log term ratio, _log_term_ratio, is <= 0 (but see beta >= 2**52
+    below).  At an exact tie
     t_k = t_{k+1} that is the earlier index k wherever the ratio there
     rounds to 0 (t_2 = t_3 at (p, beta) = (1, 2), say), and k + 1 where it
     rounds above 0; either is a largest term.
 
     Bisects on the strictly decreasing ratio, whose sign changes between
-    k = floor(beta) - 1 and k = beta + p + 1: O(log(p + 3)) evaluations.
+    k = floor(beta) - 1 and k = beta + p + 1: ~log2(p + 4) evaluations.
     For k + 1 < beta the ratio is > 0, and is computed so:
     p * log1p(1/k) >= 0 plus log(beta) - log(k + 1) > 0, or -log1p(d / beta)
     > 0 with an exact d = k + 1 - beta < 0 (from 2**52, the exact lead term
-    p/k - d/beta).  A peak with no double (p ~ 1e300 at beta = DBL_MAX,
-    say) is refused with DomainError.
+    p/k - d/beta), so the bracket's lower end, floor(beta) - 2 (or 0), is
+    never evaluated.  From beta = 2**52, where p is not small against beta,
+    the computed ratio crosses 0 many times within ~1e-17 k of the peak
+    (its rounded log1p corrections step while the lead term falls); there
+    bisection returns one crossing, a largest term to within rounding.
+
+    lam = W(p/beta), the MGF optimum, seeds the search.  At k = p/lam,
+    p/k = lam = ln(k/beta), so the ratio p ln(1 + 1/k) - ln((k + 1)/beta)
+    is ~ -1/k - (p - 1)/(2 k^2) there: to second order in 1/k it vanishes
+    between p/lam - 1 and p/lam - 1/2, and the peak is floor(p/lam) or the
+    index after it.  The ratio there and at its neighbour on the peak's
+    side decide it in two evaluations, or, past 2**53, where floor(p/lam)
+    misses by more, narrow the bracket.  No seed from beta = 2**52, where
+    it could meet another crossing than bisection.  BellQuery.frame says
+    where the seed pays for its Lambert W.  A peak with no double
+    (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
     """
     log_beta = math.log(beta)
-    lo, hi = max(1, math.floor(beta) - 1), math.ceil(beta) + math.ceil(p) + 1
-    if _log_term_ratio(lo, p, beta, log_beta) <= 0.0:
-        hi = lo
+    lo, hi = max(0, math.floor(beta) - 2), math.ceil(beta) + math.ceil(p) + 1
+    if lam and beta < _INTEGER_FLOATS and p / lam < hi:
+        k = max(lo + 1, math.floor(p / lam))
+        for _ in range(2):  # the seed, then its neighbour on the peak's side
+            if not lo < k < hi:
+                break
+            if _log_term_ratio(k, p, beta, log_beta) > 0.0:
+                lo, k = k, k + 1
+            else:
+                hi, k = k, k - 1
     while hi - lo > 1:  # ratio(lo) > 0 >= ratio(hi)
         mid = (lo + hi) // 2
         if _log_term_ratio(mid, p, beta, log_beta) > 0.0:
@@ -294,6 +375,12 @@ def _direct_term(k: int, p: float, m: int, beta: float, log_beta: float,
     d_pois = log_pois - log_pois_m
     return (math.exp(log_pow + d_pois), p * abs(k - m) / k
             + 4.0 * abs(log_pow) + err + 2.0 * abs(d_pois) + 2.0)
+
+
+# _trapezoid_step's h < 5 at any tol where pi^2 var < _H5_VAR, as
+# sd_a <= sqrt(var) and g_min >= log(2/u); most series calls stop there.
+_PI_SQUARED = math.pi**2
+_H5_VAR = 12.5 * math.log(2.0 / _U)
 
 
 def _trapezoid_step(p: float, m: int, tol: float):
@@ -341,8 +428,7 @@ def _trapezoid_step(p: float, m: int, tol: float):
     2-vCPU Xeon), break even at h = 5 and win from h = 7.
     """
     var = m / (1.0 + p / m)  # 1/c(m)
-    # h < 5 at any tol, as sd_a <= sqrt(var) and g_min >= log(2/u)
-    if math.pi**2 * var < 12.5 * math.log(2.0 / _U):
+    if _PI_SQUARED * var < _H5_VAR:
         return None
     log_tol = math.log(tol)  # 1/tol overflows at subnormal tol
     far = math.sqrt(2.0 * (math.log(2.0) - log_tol)) + 2.0
@@ -374,7 +460,8 @@ def _rule_tail(w: float, prev: float, h: int) -> float:
 
 
 def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
-          alias: float = 0.0, floor: float = 0.0) -> EvalResult | None:
+          alias: float = 0.0, floor: float = 0.0,
+          frame: tuple | None = None) -> EvalResult | None:
     """The walk of bell_dobinski over the nodes m + j h, outward from the
     peak m: the series at h = 1, the trapezoid rule of _trapezoid_step
     (h, alias, floor) above, which refuses with None once a node would
@@ -387,22 +474,18 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
     left tail is 0 at k = 1.  The rule adds alias (T + edges) for its two
     aliasing errors.
 
-    First-order rounding model.  Errors in p*log(m) (and in float(m), past
-    2**53) and in the addition forming log t_m shift log_value directly.
-    An error in a term moves log_value by that error times the term's share
-    of the sum.  A direct term's offset subtracts the computed log_pois_m,
-    which cancels the peak's Poisson error against log t_m, so it carries
-    its own Poisson error; the peak, and the terms built from it by exact
-    ratios, carry the peak's.  off_err keeps the latter, weighted (in
-    units of _U).  The sum, its log and the final addition cost 4 units
+    First-order rounding model, from the peak frame (the query's, or
+    _peak_frame at m): its peak_err shifts log_value directly.  An error in
+    a term moves log_value by that error times the term's share of the sum.
+    A direct term's offset subtracts the computed log_pois_m, which cancels
+    the peak's Poisson error against log t_m, so it carries its own Poisson
+    error; the peak, and the terms built from it by exact ratios, carry the
+    peak's.  off_err keeps the latter, weighted (in units of _U), from the
+    frame's pois_err.  The sum, its log and the final addition cost 4 units
     more, and the product h s one more at h > 1.
     """
-    log_beta = math.log(beta)
-    log_pois_m, off_err = _log_poisson(m, beta, log_beta)
-    log_pow_m = p * math.log(m)
-    log_peak = log_pow_m + log_pois_m
-    peak_err = _U * (3.0 * abs(log_pow_m) + abs(log_peak)
-                     + (p if m > 2**53 else 0.0))
+    m, log_beta, log_pois_m, off_err, log_peak, peak_err = (
+        frame or _peak_frame(p, beta, m))
     rule = h > 1  # the trapezoid rule, not the series
     units = 5.0 if rule else 4.0
     anchor = h if rule else _REANCHOR
@@ -487,9 +570,9 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     at k = 1.
 
     One walk, _walk, sums the nodes m + j h outward from the largest term
-    m = q.peak (searched once per query by peak_index and shared with the
-    bounds) in both directions, each scaled by the peak term, with Kahan
-    compensation, and returns h times the sum.  The term ratio is strictly
+    m = q.peak (from the query's peak frame, q.frame, computed once per
+    query and shared with the bounds) in both directions, each scaled by
+    the peak term, with Kahan compensation, and returns h times the sum.  The term ratio is strictly
     decreasing, so on either side each step away from the peak shrinks the
     terms by a ratio no larger than the step before, which bounds a side's
     remainder by its last node: a side's bound is used once its ratio is
@@ -519,13 +602,15 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
         raise DomainError(f"p={q.p} exceeds p_max={P_MAX}")
 
     p, beta = q.p, q.beta
-    m = q.peak
+    frame = q.frame
+    m = frame[0]
     if p == 0:
         return EvalResult(log_value=0.0, terms_used=0, tail_bound_log=-math.inf,
                           peak_index=m, rounding_bound_log=-math.inf,
                           method="ClosedForm")
     step = _trapezoid_step(p, m, tol)
-    return (step and _walk(p, beta, m, tol, *step)) or _walk(p, beta, m, tol)
+    return ((step and _walk(p, beta, m, tol, *step, frame=frame))
+            or _walk(p, beta, m, tol, frame=frame))
 
 
 @lru_cache(maxsize=64)

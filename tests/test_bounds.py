@@ -288,15 +288,35 @@ class TestLowerHContinuous:
         assert val <= math.exp(cap / p)
 
     def test_cap_holds_the_peak_where_x_star_strays(self):
-        # x_star lies ~4 below the peak here, so the pair at floor(x_star)
-        # misses t_m; the pair through t_m is the larger, exactly by ~4.6
-        # ulps and as computed by 5
+        # x_star strayed ~4 below the peak here while Newton's slope took
+        # ln x - ln beta, which cancels near x ~ beta; it now lies at the
+        # smoothed argmax, m + 0.29 to the nearest double, so the cap is
+        # the pair at floor(x_star), through t_m
         q = BellQuery(1.1666637574722798, 678525004858732.6)
         val, x_star = lower_h_continuous(q)
         n, cap, k, _, _, pair = self.caps(q, x_star)
-        assert n == q.peak - 1 and k + 1 < q.peak
+        assert n == k == q.peak
         assert cap >= pair
         assert val <= math.exp(cap / q.p)
+
+    @pytest.mark.parametrize("p,beta", [
+        (2.0, 1e15), (1.1666637574722798, 678525004858732.6)])
+    def test_newton_slope_without_cancellation(self, p, beta):
+        # ln x - ln beta cancels to an ulp of ln beta near x ~ beta, which
+        # put x_star - m at 1.5 and -4.125 here, against roots at m + 0.5
+        # and m + 0.29; log1p((x - beta)/beta), x - beta exact, puts it at
+        # the root, to the nearest double where their spacing (0.125 here)
+        # exceeds 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        q = BellQuery(p, beta)
+        _, x_star = lower_h_continuous(q)
+        with mpmath.workdps(60):
+            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
+            root = mpmath.findroot(  # the stationary point of the objective
+                lambda x: (mp - mpmath.mpf(1) / 2) / x + mpmath.log(mb / x)
+                + 1 / (12 * x * x), mpmath.mpf(q.peak))
+            err = float(abs(mpmath.mpf(x_star) - root))
+        assert err <= max(1e-9, 0.5 * math.ulp(x_star))
 
     def test_capped_below_series_at_tiny_beta(self):
         # the smoothed sup lies 6% above B^{1/p} here; the cap at
@@ -558,7 +578,7 @@ class TestSharedPeak:
         calls = []
 
         def counted(*args):
-            calls.append(args)
+            calls.append(args[:2])  # (p, beta), without the seed lambda*
             return peak_index(*args)
 
         monkeypatch.setattr(series, "peak_index", counted)
@@ -588,6 +608,39 @@ class TestSharedPeak:
         for name in ("H0Search", "HContinuous"):
             assert sum(e.startswith(f"{name}: peak index")
                        for e in rep.errors) == 1
+
+    @pytest.mark.parametrize("p,beta", [
+        (37, 3.3), (1.5, 40.0), (12, 3e3), (240.0, 1e5), (1.0, 1e-300),
+        (2.0, 1e-310), (1e300, 1e-300), (1e300, sys.float_info.max)])
+    def test_one_lambert_w_per_report(self, monkeypatch, p, beta):
+        # lambda* seeds the peak search and is GOptimized's witness; where
+        # p/beta overflows it comes from logs, without W
+        calls = []
+        lambert_w = series.lambert_w
+
+        def counted(x):
+            calls.append(x)
+            return lambert_w(x)
+
+        monkeypatch.setattr(series, "lambert_w", counted)
+        q = BellQuery(p, beta)
+        rep = bound_report(q)
+        assert len(calls) == (q.ratio < math.inf)
+        # GOptimized's bound leaves the double range at beta = DBL_MAX
+        assert rep.witness.get("lambda_star", q.lambda_star) == q.lambda_star
+
+    @pytest.mark.parametrize("p,beta", [(3.0, 2.0), (4.0, 300.0), (29.0, 5.0),
+                                        (30.0, 5.0), (120.0, 1e4)])
+    def test_bare_series_takes_w_only_to_seed(self, monkeypatch, p, beta):
+        # below series._SEED_MIN_P the series' peak search is plain bisection
+        calls = []
+        lambert_w = series.lambert_w
+        monkeypatch.setattr(series, "lambert_w",
+                            lambda x: calls.append(x) or lambert_w(x))
+        q = BellQuery(p, beta)
+        bell_dobinski(q)
+        assert len(calls) == (p >= series._SEED_MIN_P)
+        assert q.peak == peak_index(p, beta)
 
     @pytest.mark.parametrize("p,beta", POINTS)
     def test_sharing_changes_nothing(self, p, beta):

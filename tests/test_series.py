@@ -61,6 +61,19 @@ class TestBellQuery:
                 q.peak
         assert "peak" not in vars(q)
 
+    def test_cached_frame_and_lambda_are_not_part_of_the_value(self):
+        cached, fresh = BellQuery(37, 3.3), BellQuery(37, 3.3)
+        m, _, _, _, log_peak, _ = cached.frame
+        assert m == cached.peak == 20 and log_peak == log_term(20, 37, 3.3)
+        assert cached.lambda_star == series.lambert_w(37 / 3.3)
+        assert {"frame", "peak", "lambda_star"} <= vars(cached).keys()
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh) == "BellQuery(p=37, beta=3.3)"
+        refused = BellQuery(1e300, sys.float_info.max)
+        with pytest.raises(DomainError, match="peak index"):
+            refused.frame
+        assert "frame" not in vars(refused)
+
     @given(p=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
            beta=st.floats(-300.0, 5.0).map(lambda t: 10.0**t))
     @example(p=0.0, beta=1.0)
@@ -283,6 +296,73 @@ class TestPeakIndex:
                 if series._log_term_ratio(k, p, beta, math.log(beta)) <= 0.0:
                     assert m == k
         assert ties == 446
+
+    @staticmethod
+    def bisection(p, beta):
+        # the search without a seed, from the checked lower end
+        # max(1, floor(beta) - 1): the reference for the seeded search
+        log_beta = math.log(beta)
+        lo = max(1, math.floor(beta) - 1)
+        hi = math.ceil(beta) + math.ceil(p) + 1
+        if series._log_term_ratio(lo, p, beta, log_beta) <= 0.0:
+            hi = lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if series._log_term_ratio(mid, p, beta, log_beta) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if hi >= 2**1024 - 2**970:
+            raise DomainError("peak index exceeds DBL_MAX")
+        return hi
+
+    @given(p=st.one_of(st.just(0.0), st.floats(math.log(1e-3), math.log(1e300))
+                       .map(math.exp)),
+           beta=st.floats(math.log(1e-300), math.log(sys.float_info.max))
+           .map(math.exp))
+    @example(p=1e300, beta=sys.float_info.max)  # refused
+    @example(p=1.0, beta=2.0)  # t_2 = t_3
+    @example(p=2.4139208466070818e72, beta=8.906841986498795e72)
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_matches_bisection(self, p, beta):
+        # the last example: a ratio that crosses 0 many times near the peak,
+        # where a seed could land on another crossing, so none is taken
+        lam = BellQuery(p, beta).lambda_star
+        try:
+            want = self.bisection(p, beta)
+        except DomainError:
+            for seed in (None, lam):
+                with pytest.raises(DomainError, match="peak index"):
+                    peak_index(p, beta, seed)
+            return
+        assert peak_index(p, beta, lam) == peak_index(p, beta) == want
+
+    def test_seeded_exact_ties(self):
+        # the exact ties of test_exact_ties, from the seed
+        ties = 0
+        for p in range(9):
+            for k in range(1, 200):
+                b = Fraction(k) ** p / Fraction(k + 1) ** (p - 1)
+                beta = float(b)
+                if Fraction(beta) != b:
+                    continue
+                ties += 1
+                p_f = float(p)
+                lam = BellQuery(p_f, beta).lambda_star
+                assert peak_index(p_f, beta, lam) == self.bisection(p_f, beta)
+        assert ties == 446
+
+    @pytest.mark.parametrize("p", [2.0, 40.0, 500.0])
+    def test_seed_decides_in_two_evaluations(self, monkeypatch, p):
+        calls = []
+        ratio = series._log_term_ratio
+        monkeypatch.setattr(series, "_log_term_ratio",
+                            lambda *args: calls.append(args) or ratio(*args))
+        for beta in (0.1, 1.0, 7.3, 50.0, 3e3, 1e5):
+            lam = BellQuery(p, beta).lambda_star
+            calls.clear()
+            m = peak_index(p, beta, lam)
+            assert len(calls) <= 2 and m == self.bisection(p, beta)
 
     @pytest.mark.parametrize("p", [0.0, 2.0, 800.0, 2000.0])
     @pytest.mark.parametrize("beta", [5e-324, 1e-320])
