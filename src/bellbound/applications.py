@@ -45,6 +45,13 @@ class DiscreteDist:
             if not (0.0 < pr <= 1.0):
                 raise DomainError(f"atom probability {pr} outside (0, 1]")
 
+    @functools.cached_property
+    def top_exponent(self) -> float:
+        """math.frexp's binary exponent of the largest value, or -inf if
+        that is 0, on first use: _scale_exponent reads it on every moment."""
+        top = max(self.atoms)[0]
+        return math.frexp(top)[1] if top else -math.inf
+
     def mean(self) -> float:
         return in_range("mean", math.fsum, (v * pr for v, pr in self.atoms))
 
@@ -54,7 +61,7 @@ class DiscreteDist:
         e = 0 it is the plain sum over the atoms, bit for bit and at its
         cost.  DomainError "moment of order <p> ..." when the moment
         leaves the double range or its scaled terms underflow."""
-        e = _scale_exponent([max(self.atoms)[0]], p)  # the largest value
+        e = _scale_exponent((self,), p)
         try:
             value = in_range("", math.fsum,
                              (v**p * pr for v, pr in _scaled(self.atoms, e)))
@@ -104,24 +111,29 @@ class SumMomentResult:
 _SCALED_FLOOR = sys.float_info.min / sys.float_info.epsilon
 
 
-def _scale_exponent(tops: list[float], p: float, samples: int = 0) -> int:
-    """The least e >= 0 with (sum(tops) / 2**e)**p < 2**1024 or, for a
-    Monte Carlo estimate over `samples` draws, with a sum of `samples`
-    squares of it below 2**1024; the power taken as at least 1 so that the
-    sum fits too.  0 wherever it is in the double range, so that the atoms
-    are then taken as given.  Division by 2**e is exact, bar atoms pushed
-    into the subnormals.  DomainError for an order p that is not finite
-    and > 0, before any power is taken, and for an empty family."""
+def _scale_exponent(dists, p: float, samples: int = 0) -> int:
+    """The least e >= 0 with (tops / 2**e)**p < 2**1024, tops the sum of
+    the summands' largest values, or, for a Monte Carlo estimate over
+    `samples` draws, with a sum of `samples` squares of it below 2**1024;
+    the power taken as at least 1 so that the sum fits too.  0 wherever it
+    is in the double range, so that the atoms are then taken as given;
+    that test reads only each summand's cached top_exponent, not its atoms.
+    Division by 2**e is exact, bar atoms pushed into the subnormals.
+    DomainError for an order p that is not finite and > 0, before any
+    power is taken, and for an empty family."""
     if not 0 < p < math.inf:
         raise DomainError(f"p must be > 0 and finite, got {p}")
-    if not tops:
+    if not dists:
         raise DomainError("the family has no distribution")
-    top = max(tops)
-    k = math.frexp(top)[1]  # every sum of tops is below 2**(k + bit_length)
-    room = 1024.0 - math.log2(max(samples, 1))
+    k = -math.inf  # the largest top exponent: tops < 2**(k + bit_length(n))
+    for d in dists:  # a loop: ~0.4 us cheaper than max([...]) at n = 1
+        if d.top_exponent > k:
+            k = d.top_exponent
+    room = 1024.0 - math.log2(samples) if samples else 1024.0
     power = max(2.0 * p if samples else p, 1.0)
-    if top == 0 or (k + len(tops).bit_length()) * power <= room:
+    if (k + len(dists).bit_length()) * power <= room:
         return 0
+    tops = [max(d.atoms)[0] for d in dists]
     bits = k + math.log2(math.fsum(math.ldexp(t, -k) for t in tops))
     return max(0, math.floor(bits - room / power) + 1)
 
@@ -190,7 +202,7 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
     E(X + Y)^k = sum_i C(k, i) E X^i E Y^(k-i), whose terms are all
     non-negative: O(n p^2).  Otherwise by enumerating all outcome tuples
     and accumulating prob * (sum of values)^p."""
-    e = _scale_exponent([max(d.atoms)[0] for d in dists], p)
+    e = _scale_exponent(dists, p)
     what = "E(sum eta_j)^p"
     if p <= CONVOLUTION_MAX_P and p == int(p):
         value = in_range(what, _convolved_moment, dists, int(p), e)
@@ -294,7 +306,7 @@ def mc_sum_moment(dists: list[DiscreteDist], p: float, samples: int,
         raise DomainError(f"samples must be an integer >= 10^4, got {samples!r}")
     check_seed(seed)
     # a sum of `samples` squares enters the standard error
-    e = _scale_exponent([max(d.atoms)[0] for d in dists], p, samples)
+    e = _scale_exponent(dists, p, samples)
     rng = np.random.Generator(np.random.Philox(seed))
     totals = np.zeros(samples)
     # u and scratch serve every summand and go before the powers, so peak

@@ -143,7 +143,8 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     if q.p <= 0:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
-    m, log_beta, _, _, log_peak, _ = q.frame
+    m, _, _, _, log_peak, _ = q.frame
+    log_beta = math.log(beta)
     x = float(m)
     last = math.inf
     for _ in range(100):  # <= 7 steps seen; the cap is a backstop

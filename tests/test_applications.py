@@ -269,8 +269,7 @@ def choice_reference(dists: list[DiscreteDist], p: float, samples: int,
     Generator.choice on the installed numpy: the reference that its guide
     table must match bit for bit."""
     rng = np.random.Generator(np.random.Philox(seed))
-    e = applications._scale_exponent([max(d.atoms)[0] for d in dists], p,
-                                     samples)
+    e = applications._scale_exponent(dists, p, samples)
     totals = np.zeros(samples)
     with np.errstate(over="ignore", invalid="ignore"):
         for d in dists:
@@ -367,7 +366,7 @@ class TestMonteCarlo:
         # divided by 2**e, e > 0, before they are drawn
         top = 2.0 ** min(1015, int(1010 / p))
         dists = [DiscreteDist(((top, 0.5), (1.0, 0.5)))] * 2
-        assert applications._scale_exponent([top, top], p, 10_000) > 0
+        assert applications._scale_exponent(dists, p, 10_000) > 0
         mc = mc_sum_moment(dists, p, samples=10_000, seed=17)
         assert (mc.value, mc.stderr) == choice_reference(dists, p, 10_000, 17)
 
@@ -525,6 +524,43 @@ class TestScaledMoments:
             assert d.moment(p) == math.fsum([v**p * pr for v, pr in d.atoms])
         plain = applications._convolved_moment(dists, int(p), 0)
         assert exact_sum_moment(dists, p).value == plain
+
+    def test_top_found_once(self, monkeypatch):
+        # each summand finds its largest value's exponent on first use;
+        # repeated moments of an in-range family read it, not the atoms
+        calls = []
+        frexp = math.frexp
+
+        def counted(x):
+            calls.append(x)
+            return frexp(x)
+
+        monkeypatch.setattr(math, "frexp", counted)
+        d = DiscreteDist(((0.5, 0.25), (3.0, 0.75)))
+        coin = DiscreteDist(((0.0, 0.5), (1.0, 0.5)))
+        for p in (2.0, 3.0, 4.0):
+            d.moment(p)
+            exact_sum_moment([d, coin, d], p)
+        assert calls == [3.0, 1.0]
+
+    @given(tops=st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e308)),
+                         min_size=1, max_size=12),
+           p=st.floats(1e-3, 2000.0), samples=st.sampled_from([0, 10_000]))
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_from_the_cached_tops(self, tops, p, samples):
+        # the summands' cached top exponents choose the e that their
+        # largest values give, zero tops included
+        dists = [DiscreteDist(((t, 1.0),)) for t in tops]
+        top = max(tops)
+        k = math.frexp(top)[1]
+        room = 1024.0 - math.log2(max(samples, 1))
+        power = max(2.0 * p if samples else p, 1.0)
+        if top == 0 or (k + len(tops).bit_length()) * power <= room:
+            want = 0
+        else:
+            bits = k + math.log2(math.fsum(math.ldexp(t, -k) for t in tops))
+            want = max(0, math.floor(bits - room / power) + 1)
+        assert applications._scale_exponent(dists, p, samples) == want
 
     def test_refuses_what_scaling_underflows(self):
         # 1.627**1713 overflows and one step of scaling moves the terms by

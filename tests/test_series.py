@@ -517,7 +517,7 @@ class TestCertificate:
         def refuse(*args):
             raise AssertionError("the peak was searched or a term summed")
 
-        for name in ("peak_index", "_direct_term", "lambert_w", "log_mgf_bound"):
+        for name in ("peak_index", "_log_offset", "lambert_w", "log_mgf_bound"):
             monkeypatch.setattr(series, name, refuse)
         start = time.perf_counter()
         with pytest.raises(DomainError, match="exceeds p_max"):
@@ -647,13 +647,26 @@ class TestTrapezoid:
         assert res.method == "Trapezoid"
         assert math.exp(res.tail_bound_log) <= 5e-324
 
-    def test_rule_tail_guards(self):
-        # a node not below the one before has no geometric tail; past a
-        # node that underflowed to 0 the tail is 0
-        for w, prev in ((0.5, 0.5), (0.6, 0.5), (math.nan, 0.5)):
-            assert series._rule_tail(w, prev, 5) == math.inf
-        assert series._rule_tail(0.0, 1e-300, 5) == 0.0
-        assert 0.0 < series._rule_tail(1e-20, 1e-10, 5) < math.inf
+    def test_rule_tail_guards(self, monkeypatch):
+        # the rule's tail in log form: a node not below the one before
+        # (here the first node of each side, at or above the peak's offset
+        # 0) has an infinite tail, so its side takes another node; a node
+        # far below it (exp underflows to 0) has a finite, non-negative tail
+        p, beta = 2.0, 1e4
+        m = peak_index(p, beta)
+        h, alias, floor = series._trapezoid_step(p, m, 1e-12)
+        for first in (0.0, 0.5):
+            asked = []
+
+            def offset(k, *args):
+                asked.append(k)
+                return (first if abs(k - m) == h else -1e4), 0.0
+
+            monkeypatch.setattr(series, "_log_offset", offset)
+            res = series._walk(p, beta, m, 1e-12, h, alias, floor)
+            assert asked == [m + h, m + 2 * h, m - h, m - 2 * h]
+            assert res.terms_used == 5
+            assert 0.0 <= math.exp(res.tail_bound_log) < math.inf
 
     def test_node_count_flat_in_beta(self):
         counts = [bell_dobinski(BellQuery(2.0, 10.0**t)).terms_used
@@ -736,6 +749,48 @@ class TestPoissonRounding:
                            - mpmath.loggamma(k + 1) - mb)
                 for k in range(1, k_max))
         assert certificate_holds(res, log_error(res, total, mpmath), tol)
+
+
+class TestLogOffset:
+    """series._log_offset, the walk's one node formula: log(t_k/t_m) from
+    the peak frame, and its rounding bound."""
+
+    @given(p=st.floats(-3.0, math.log10(500.0)).map(lambda t: 10.0**t),
+           beta=st.floats(-3.0, 20.0).map(lambda t: 10.0**t),
+           j=st.integers(-12, 12), small=st.integers(1, 20),
+           use_small=st.booleans())
+    # the table, at a table peak (m = 20) and beyond one (k <= 20 < m); a
+    # table peak with k beyond the table; the deviance series near beta;
+    # the closed form far from it; beta >= 2**52, where float(k) rounds
+    @example(p=37.0, beta=3.3, j=0, small=5, use_small=True)
+    @example(p=3.0, beta=40.0, j=0, small=8, use_small=True)
+    @example(p=37.0, beta=3.3, j=12, small=1, use_small=False)
+    @example(p=2.0, beta=1e4, j=-3, small=1, use_small=False)
+    @example(p=500.0, beta=100.0, j=-12, small=1, use_small=False)
+    @example(p=2.5, beta=1e17, j=5, small=1, use_small=False)
+    @example(p=1e-3, beta=1e3, j=12, small=1, use_small=False)
+    # the frame's dr_err is needed here: k = m, past 2**53
+    @example(p=0.005414154432526086, beta=3.1990475595007836e+16, j=0,
+             small=1, use_small=False)
+    @settings(max_examples=300, deadline=None)
+    def test_error_within_bound(self, p, beta, j, small, use_small):
+        # k = m + j h, h the trapezoid rule's step where it has one, else
+        # about a standard deviation of the terms, or k in the table below
+        # peaks m <= 1000 (the walk asks for k <= 20 only from m <= 52);
+        # against log t_k - log_peak to 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        m = peak_index(p, beta)
+        step = series._trapezoid_step(p, m, 1e-12)
+        h = step[0] if step else max(1, round(math.sqrt(m / (1.0 + p / m))))
+        k = small if use_small and m <= 1000 else max(1, m + j * h)
+        frame = series._peak_frame(p, beta, m)
+        got, err = series._log_offset(k, p, beta, frame)
+        with mpmath.workdps(50):
+            mb = mpmath.mpf(beta)
+            want = (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
+                    - mpmath.loggamma(k + 1) - mpmath.mpf(frame[4]))
+            seen = float(abs(got - want))
+        assert seen <= series._U * err + frame[5]
 
 
 class TestTouchard:
