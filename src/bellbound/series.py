@@ -3,11 +3,12 @@
 B(p, beta) = e^{-beta} * sum_{k>=0} k^p beta^k / k!  is the p-th moment of
 a Poisson(beta) variable.  The series, walked outward from its largest
 term over every h-th term (h = 1, or the step h >= 5 of a trapezoid rule
-where that certifies tol), is the ground-truth evaluator; an exact
-Stirling-number (Touchard) path is the independent oracle for integer p.
-Every value travels as a natural log (B(p, 1) overflows a double near
-p ~ 170); in_range, the one exit from log space, returns a finite double
-or raises DomainError.
+where that rule certifies tol), is the ground-truth evaluator here; an exact
+Stirling-number (Touchard) path serves as the independent oracle for
+integer p.  Every value travels as a natural log and is exponentiated only
+at the presentation layer: B(p, 1) already overflows double precision near
+p ~ 170.  in_range is the one exit from log space: it returns a finite
+double or raises DomainError.
 """
 from __future__ import annotations
 
@@ -30,12 +31,12 @@ class Regime(Enum):
 class BellQuery:
     """A (p, beta) evaluation point.  p >= 0, beta > 0.
 
-    Computed once per query, on first use, and shared: its peak frame,
-    `frame` (the index `peak` of its largest Dobinski term and that term's
-    log), which the series, H0Search and HContinuous read, and the MGF
-    optimum `lambda_star`, which GOptimized reads and which seeds the peak
-    search wherever it is known first.  Neither is a field: equality,
-    hashing, repr and dataclasses.replace see only p and beta.
+    Two things are computed once per query, on first use, and shared: its
+    peak frame, `frame` (the index `peak` of its largest Dobinski term and
+    that term's log), which the series, H0Search and HContinuous read, and
+    the MGF optimum `lambda_star`, which GOptimized reads and which seeds
+    the peak search wherever it is known first.  Neither is a field:
+    equality, hashing, repr and dataclasses.replace see only p and beta.
     """
 
     p: float
@@ -66,12 +67,14 @@ class BellQuery:
 
     @cached_property
     def frame(self) -> tuple:
-        """_peak_frame at m = peak_index(p, beta), on first access, seeded
-        at lambda_star where that is known, else from p = _SEED_MIN_P = 30,
-        where a Lambert W (~1.1 us, ~3 ratio evaluations) starts to pay: the
-        seeded and plain searches take 3.9 us each there (beta log-uniform
-        in [0.1, 1e5], 2-vCPU Xeon) and 3.8 and 4.4 us at p = 100.  A
-        refusal is not cached: each access that needs the peak raises it."""
+        """_peak_frame at m = peak_index(p, beta), on first access.  The
+        search is seeded at lambda_star where that is known already, and
+        otherwise from p = _SEED_MIN_P = 30, where a Lambert W (~1.1 us,
+        about 3 ratio evaluations) starts to pay: the seeded and plain
+        searches break even there (3.9 us each, beta log-uniform in
+        [0.1, 1e5], 2-vCPU Xeon), and at p = 100 take 3.8 and 4.4 us.  A
+        refusal is not cached, so each access that needs the peak raises it
+        again."""
         p, beta = self.p, self.beta
         lam = self.__dict__.get("lambda_star")
         if lam is None and p >= _SEED_MIN_P:
@@ -100,14 +103,16 @@ def _lambda0(q: BellQuery) -> tuple[float, float]:
 class EvalResult:
     """A positive value in log-space with a two-part error certificate.
 
-    tail_bound_log is the log of a certified bound on the method error
-    relative to the value: the series' omitted tails, or all that the
-    trapezoid rule leaves out.  rounding_bound_log is the log of a
-    forward-error bound on the rounding of log_value, as a relative error
-    of the value.  Their sum bounds the total relative error, which is at
-    most the requested tol whenever the rounding part is at most tol/2.
-    method names the evaluator, "Series", "Trapezoid" or "ClosedForm"
-    (p = 0); terms_used counts the terms or trapezoid nodes it summed.
+    tail_bound_log is the log of a certified upper bound on the method
+    error, relative to the returned value: the omitted tails of the
+    series, or everything the trapezoid rule leaves out.
+    rounding_bound_log is the log of a forward-error bound on the
+    floating-point error of log_value, expressed as a relative error of
+    the value.  The total relative error is at most the sum of the two; it
+    is at most the requested tol whenever the rounding part is at most
+    tol/2.  method names the evaluator: "Series", "Trapezoid", or
+    "ClosedForm" for p = 0; terms_used counts the terms it summed, which
+    are the nodes of the trapezoid rule.
     """
 
     log_value: float
@@ -132,10 +137,10 @@ class EvalResult:
 
 def in_range(what: str, f, *args) -> float:
     """f(*args) as a finite double: the one exit from log space, or from
-    any computation that can leave the double range.  DomainError "<what>
-    exceeds the double range" (for f = math.exp, "<what> = exp(<x>) exceeds
-    ...") when f overflows or returns inf or NaN.  Pass a constant `what`
-    on hot paths."""
+    any computation that can leave the double range.  DomainError
+    "<what> exceeds the double range" when f raises OverflowError or
+    returns inf or NaN; for f = math.exp the message names the exponent,
+    "<what> = exp(<x>) exceeds ...".  Pass a constant `what` on hot paths."""
     try:
         value = f(*args)
     except OverflowError:
@@ -208,14 +213,16 @@ def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
     """log of the Poisson(beta) mass at k, k log beta - beta - log k!, and
     a first-order bound on its rounding error, in units of _U.
 
-    Beyond the exact table this is -(D + log(2 pi k)/2 + R), D the Poisson
-    deviance and R the Stirling remainder of log k!, which errs by less
-    than 691/(360360 k^11) < u/10; from 2**52, beta is an integer and
-    k - beta is formed exactly, so D keeps its digits where k has no
-    double.  The bound: in the table, k log_beta errs by 3|k log beta|
-    units, the correctly rounded log k! by log k! and each difference by
-    its result; beyond it, log(2 pi k)/2 by 3 times itself, each sum by its
-    result and R by less than 1.
+    Beyond the exact table this is -(D + log(2 pi k)/2 + R), with D the
+    Poisson deviance and R the Stirling remainder of log k!, which errs by
+    less than its first omitted term, 691/(360360 k^11) < u/10.  From
+    2**52 beta is an integer and k - beta is formed exactly, so D keeps
+    its digits where k has no double.  The bound, term by term: in the
+    table, log_beta errs by 2|log beta| units, so k log_beta by
+    3|k log beta|, the correctly rounded log k! by log k!, and each
+    difference by its result.  Beyond it, log(2 pi k)/2 errs by at most
+    3 times itself, each of the two sums by its result, and R by less
+    than 1.
     """
     if k <= _LOG_FACTORIAL_MAX:
         lf = _LOG_FACTORIAL[k]
@@ -245,12 +252,11 @@ def log_term(k: int, p: float, beta: float) -> float:
 def _peak_frame(p: float, beta: float, m: int) -> tuple:
     """The peak frame at m, the tuple (m, dr_m, dr_err, pois_err, log_peak,
     peak_err).  log_peak = log t_m, as log_term forms it, errs by peak_err
-    (errors in p log m, in float(m) past 2**53, and in the sum) plus
-    _U pois_err, the bound of its Poisson log log_pois (_log_poisson).
-    _log_offset measures from dr_m = -log_pois - log(2 pi m)/2, D(m) + R(m)
-    beyond the table: log_pois's error cancels against log_peak's, and
-    dr_err, in units of _U, bounds the rounding of dr_m and of
-    log(2 pi m)/2.  A tuple, as a NamedTuple costs each query ~0.4 us more."""
+    (from p log m, float(m) past 2**53 and the sum) plus _U pois_err, the
+    bound of its Poisson log log_pois (_log_poisson).  _log_offset measures
+    from dr_m = -log_pois - log(2 pi m)/2, D(m) + R(m) beyond the table, so
+    log_pois's error cancels; dr_err, in units of _U, bounds the rounding of
+    dr_m and log(2 pi m)/2.  A tuple: a NamedTuple costs ~0.4 us a query."""
     log_pois, pois_err = _log_poisson(m, beta, math.log(beta))
     half_log = _HALF_LOG_2PI + 0.5 * math.log(m)
     dr_m = -log_pois - half_log
@@ -277,12 +283,13 @@ def _log_term_ratio(k: int, p: float, beta: float, log_beta: float) -> float:
 
     Strictly decreasing in k, which makes the terms unimodal and the
     geometric tail bounds on both sides of the peak rigorous.  Away from
-    k ~ beta, log(beta) is taken apart, as beta/(k + 1) underflows for
+    k ~ beta, log(beta) is taken apart, because beta/(k + 1) underflows for
     subnormal beta.  Within a factor 2 of beta, log(beta) - log(k + 1)
-    would cancel to ulp(log beta) (at beta = 1e30, ~1e16 indices), so the
-    second part is -log1p(d / beta), d = k + 1 - beta exact (Sterbenz).
-    From 2**52 on, the two parts agree to within their rounding at a
-    near-tie, so their lead terms p/k - d/beta are subtracted in integers.
+    would cancel to ulp(log beta), which at beta = 1e30 puts the peak
+    ~1e16 indices off, so the second part is -log1p(d / beta) with
+    d = k + 1 - beta formed exactly (Sterbenz).  From 2**52 on, the two
+    parts agree to within their own rounding at a near-tie, so their
+    leading terms p/k - d/beta are subtracted in exact integers.
     """
     if not 0.5 * beta <= k + 1 <= 2.0 * beta:
         return p * math.log1p(1.0 / k) + log_beta - math.log(k + 1.0)
@@ -303,29 +310,32 @@ _SEED_MIN_P = 30.0
 def peak_index(p: float, beta: float, lam: float | None = None) -> int:
     """Index of the largest Dobinski term: the smallest k >= 1 whose
     computed log term ratio, _log_term_ratio, is <= 0 (but see beta >= 2**52
-    below).  At an exact tie t_k = t_{k+1} that is k wherever the ratio
-    there rounds to 0 (t_2 = t_3 at (p, beta) = (1, 2), say), and k + 1
-    where it rounds above 0; either is a largest term.
+    below).  At an exact tie
+    t_k = t_{k+1} that is the earlier index k wherever the ratio there
+    rounds to 0 (t_2 = t_3 at (p, beta) = (1, 2), say), and k + 1 where it
+    rounds above 0; either is a largest term.
 
     Bisects on the strictly decreasing ratio, whose sign changes between
     k = floor(beta) - 1 and k = beta + p + 1: ~log2(p + 4) evaluations.
-    For k + 1 < beta the ratio is computed > 0 (p log1p(1/k) >= 0 plus a
-    positive log(beta/(k + 1)), its d = k + 1 - beta exact), so the
-    bracket's lower end, floor(beta) - 2 (or 0), is never evaluated.  From
-    beta = 2**52, where p is not small against beta, the computed ratio
-    crosses 0 many times within ~1e-17 k of the peak (its rounded log1p
-    corrections step while the lead term falls); bisection returns one
-    crossing, a largest term to within rounding.
+    For k + 1 < beta the ratio is > 0, and is computed so:
+    p * log1p(1/k) >= 0 plus log(beta) - log(k + 1) > 0, or -log1p(d / beta)
+    > 0 with an exact d = k + 1 - beta < 0 (from 2**52, the exact lead term
+    p/k - d/beta), so the bracket's lower end, floor(beta) - 2 (or 0), is
+    never evaluated.  From beta = 2**52, where p is not small against beta,
+    the computed ratio crosses 0 many times within ~1e-17 k of the peak
+    (its rounded log1p corrections step while the lead term falls); there
+    bisection returns one crossing, a largest term to within rounding.
 
     lam = W(p/beta), the MGF optimum, seeds the search.  At k = p/lam,
-    p/k = lam = ln(k/beta), so the ratio is ~ -1/k - (p - 1)/(2 k^2): to
-    second order in 1/k it vanishes between p/lam - 1 and p/lam - 1/2, and
-    the peak is floor(p/lam) or the index after it.  The ratio there and
-    at its neighbour on the peak's side decide it in two evaluations, or,
-    past 2**53, where floor(p/lam) misses by more, narrow the bracket.  No
-    seed from beta = 2**52, where it could meet another crossing than
-    bisection; BellQuery.frame says where the seed pays.  A peak with no
-    double (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
+    p/k = lam = ln(k/beta), so the ratio p ln(1 + 1/k) - ln((k + 1)/beta)
+    is ~ -1/k - (p - 1)/(2 k^2) there: to second order in 1/k it vanishes
+    between p/lam - 1 and p/lam - 1/2, and the peak is floor(p/lam) or the
+    index after it.  The ratio there and at its neighbour on the peak's
+    side decide it in two evaluations, or, past 2**53, where floor(p/lam)
+    misses by more, narrow the bracket.  No seed from beta = 2**52, where
+    it could meet another crossing than bisection.  BellQuery.frame says
+    where the seed pays for its Lambert W.  A peak with no double
+    (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
     """
     log_beta = math.log(beta)
     lo, hi = max(0, math.floor(beta) - 2), math.ceil(beta) + math.ceil(p) + 1
@@ -354,43 +364,29 @@ def _log_offset(k: int, p: float, beta: float,
     """log(t_k / t_m) for the peak m of frame (_peak_frame), and err:
     log_peak + offset errs from log t_k by <= peak_err + _U err (first order).
 
-    With L = log1p((k - m)/m) and dr_k = D + R, the Poisson deviance
-    (_poisson_deviance, inlined: a node costs one call) and Stirling
-    remainder of _log_poisson, or in the table -log Poisson(k) -
-    log(2 pi k)/2, as dr_m, the offset is (p - 1/2) L + dr_m - dr_k.  The
-    bound: (k - m)/m rounds once, moving L by |k - m|/k units; log1p,
-    p - 1/2 and the product add 4|(p - 1/2) L|; dr_k brings D's bound, 1
-    for R and |dr_k| (in the table, _log_poisson's bound, 3 log(2 pi k)/2
-    and |dr_k|), dr_m the frame's dr_err, the last two sums their results.
+    The offset is (p - 1/2) L + dr_m - dr_k: L = log(k/m), as
+    log1p((k - m)/m) from k = m/2 up; dr = D + R (_poisson_deviance and
+    _log_poisson's Stirling remainder), or in the table -log Poisson(k) -
+    log(2 pi k)/2.  The bound: the quotient rounds once, moving L by
+    |k - m|/k units, or 1 below m/2 (a subnormal k/m, at |L| > 708, takes
+    the spare unit of 4|(p - 1/2) L|, which the log, p - 1/2 and the
+    product add); dr_k brings D's bound, 1 for R and |dr_k| (in the table,
+    _log_poisson's bound, 3 log(2 pi k)/2 and |dr_k|), dr_m the frame's
+    dr_err, the last two sums their results.
     """
     m, dr_m, err, _, _, _ = frame
-    lp = (p - 0.5) * math.log1p((k - m) / m)
+    if 2 * k < m:
+        lp, q_err = (p - 0.5) * math.log(k / m), 1.0
+    else:
+        lp, q_err = (p - 0.5) * math.log1p((k - m) / m), abs(k - m) / k
     if k > _LOG_FACTORIAL_MAX:
         x = float(k)
         d = float(k - int(beta)) if beta >= _INTEGER_FLOATS else k - beta
-        half_sum = 0.5 * x + 0.5 * beta
-        if abs(d) < 0.2 * half_sum:
-            v = 0.5 * d / half_sum
-            v2 = v * v
-            dev = d * v + x * v * v2 * (1.0 / 3 + v2 * (1.0 / 5 + v2 * (
-                1.0 / 7 + v2 * (1.0 / 9 + v2 * (1.0 / 11 + v2 * (
-                    1.0 / 13 + v2 / 15)))))) * 2.0
-            err += 9.0 * dev
-        else:
-            ratio = x / beta
-            if ratio < math.inf:
-                log_ratio = math.log(ratio)
-                log_err = 1.0 + 2.0 * abs(log_ratio)
-            else:  # x > 1 > beta: both operands' logs add to log_ratio
-                log_ratio = math.log(x) - math.log(beta)
-                log_err = 3.0 * log_ratio
-            lr = x * log_ratio
-            dev = lr + beta - x
-            err += x * log_err + 2.0 * abs(lr) + abs(lr + beta) + abs(dev)
+        dev, dev_err = _poisson_deviance(x, beta, d)
         r = 1.0 / (x * x)
         dr = dev + (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680
                     - r / 1188) * r) * r) * r) / x
-        err += 1.0 + abs(dr)
+        err += dev_err + 1.0 + abs(dr)
     else:
         log_pois, pois_err = _log_poisson(k, beta, math.log(beta))
         half_log = _HALF_LOG_2PI + 0.5 * math.log(k)
@@ -398,8 +394,8 @@ def _log_offset(k: int, p: float, beta: float,
         err += pois_err + 3.0 * half_log + abs(dr)
     diff = dr_m - dr
     off = lp + diff
-    return off, (err + abs(p - 0.5) * abs(k - m) / k + 4.0 * abs(lp)
-                 + abs(diff) + abs(off))
+    return off, (err + abs(p - 0.5) * q_err + 4.0 * abs(lp) + abs(diff)
+                 + abs(off))
 
 
 # _trapezoid_step's h < 5 at any tol where pi^2 var < _H5_VAR, as
@@ -448,9 +444,9 @@ def _trapezoid_step(p: float, m: int, tol: float):
     f has fallen far below tol; h is the largest odd step with
     g_h >= log(16/min(tol, 8u)), so that aliasing takes at most tol/8 and
     leaves the value as exact as the series'.  None without floor > 0 or
-    h >= 5: a node (_log_offset) costs ~3.7x a ratio step, so the rule loses
-    to the series at h = 3 (107 against 83 us at (p, beta) = (2, 150), 2-vCPU
-    Xeon), wins by 17-20% at h = 5 ((2, 180), (500, 50)) and ~38% at h = 7.
+    h >= 5: a node (_log_offset) costs ~4x a ratio step, so the rule loses
+    to the series at h = 3 (110 against 79 us at (p, beta) = (2, 150), 2-vCPU
+    Xeon), wins by 14-23% at h = 5 ((2, 180), (500, 50)) and ~37% at h = 7.
     """
     var = m / (1.0 + p / m)  # 1/c(m)
     if _PI_SQUARED * var < _H5_VAR:
@@ -471,6 +467,14 @@ def _trapezoid_step(p: float, m: int, tol: float):
     return h, (a_h + a_1) / (1.0 - a_h), floor
 
 
+def _edge_tail(lo: float, lo_prev: float, edge: float, inv_h: float) -> float:
+    """The rule's edge and tail beyond a side's outer node of offset lo, edge
+    2 (h + 1)/pi, log r = inv_h (lo - lo_prev); inf unless lo < lo_prev."""
+    d = lo - lo_prev
+    return math.exp(lo + 0.5 * d) * (edge + math.exp(
+        0.5 * inv_h * d) / -math.expm1(inv_h * d)) if d < 0.0 else math.inf
+
+
 def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
           alias: float = 0.0, floor: float = 0.0,
           frame: tuple | None = None) -> EvalResult | None:
@@ -481,26 +485,22 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
     A node is its neighbour times the term ratio or, every anchor-th
     (every _REANCHOR-th at h = 1, every node above), the exp of its offset
     lo from _log_offset.  A side's tail is t r / (1 - r) at h = 1, r its
-    last ratio; above, the rule's edge and tail w r^(h/2) (2 (h + 1)/pi +
-    r^(1/2)/(1 - r)), log r = (lo - lo_prev)/h, infinite unless
-    lo < lo_prev.  The left tail is 0 at k = 1.  The rule adds
-    alias (T + edges) for its two aliasing errors.
+    last ratio, and _edge_tail above; the left tail is 0 at k = 1.  The
+    rule adds alias (T + edges) for its two aliasing errors.
 
     First-order rounding model, from the peak frame (the query's, or
-    _peak_frame at m): peak_err shifts log_value directly, and a term's
-    error moves it by that error times the term's share of the sum.  The
-    peak and the terms built from it by ratio steps carry pois_err, an
-    offset its own bound and 2 units for its exp; off_err sums them,
-    weighted, in units of _U.  The sum, its log and the final addition
-    cost 4 units more, and h s one more at h > 1.
+    _peak_frame at m): peak_err shifts log_value, and a term's error moves
+    it by that error times the term's share of the sum.  The peak and the
+    ratio-built terms carry pois_err, an offset its own bound and 2 units
+    for its exp; off_err sums them, weighted, in units of _U.  The sum, its
+    log and the final addition cost 4 units more, and h s one at h > 1.
     """
     frame = frame or _peak_frame(p, beta, m)
     _, _, _, off_err, log_peak, peak_err = frame
     rule = h > 1  # the trapezoid rule, not the series
     units = 5.0 if rule else 4.0
     anchor = h if rule else _REANCHOR
-    tol_h = tol * h
-    edge, inv_h = 2.0 * (h + 1) / math.pi, 1.0 / h
+    tol_h, edge, inv_h = tol * h, 2.0 * (h + 1) / math.pi, 1.0 / h
     # s sums the terms scaled by the peak term, which contributes 1.
     s, c = 1.0, 0.0
     terms = 1
@@ -508,7 +508,7 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
     right_w = left_w = 1.0
     right_lo = left_lo = 0.0  # each side's last offset, in the rule
     right_e = left_e = off_err  # each side's last term's bound, in _U
-    exp, expm1, log1p, inf = math.exp, math.expm1, math.log1p, math.inf
+    exp, log1p, inf = math.exp, math.log1p, math.inf
     right_tail = inf
     left_tail = 0.0 if m == 1 else inf
     four_p = 4.0 * p  # a ratio step over (j, j + 1) adds 6 + 4p/j
@@ -533,10 +533,7 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
                 lo, e = _log_offset(k, p, beta, frame)
                 w, e = exp(lo), e + 2.0
             if rule:
-                d = lo - right_lo
-                right_tail = exp(lo + 0.5 * d) * (edge + exp(
-                    0.5 * inv_h * d) / -expm1(inv_h * d)) if d < 0.0 else inf
-                right_lo = lo
+                right_tail, right_lo = _edge_tail(lo, right_lo, edge, inv_h), lo
             else:  # w r / (1 - r), r = w / right_w, once r < 1
                 right_tail = w * w / (right_w - w) if w < right_w else inf
             right, right_w, right_e = k, w, e
@@ -555,10 +552,7 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
             if k == 1:
                 left_tail = 0.0
             elif rule:
-                d = lo - left_lo
-                left_tail = exp(lo + 0.5 * d) * (edge + exp(
-                    0.5 * inv_h * d) / -expm1(inv_h * d)) if d < 0.0 else inf
-                left_lo = lo
+                left_tail, left_lo = _edge_tail(lo, left_lo, edge, inv_h), lo
             else:
                 left_tail = w * w / (left_w - w) if w < left_w else inf
             left, left_w, left_e = k, w, e
@@ -588,21 +582,20 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     the walk stops at k = 1, as t_0 = 0.  p > P_MAX is refused.
 
     One walk, _walk, sums the nodes m + j h outward from the largest term
-    m = q.peak (of q.frame, the query's peak frame), each over the peak
-    term, with Kahan compensation, and returns h times the sum.  The term
-    ratio is strictly decreasing, so a side's remainder is bounded by its
-    last node once its ratio is below 1; the side with the larger bound
-    takes the next node.  At h = 1 it is the series,
-    O(sqrt(beta) * sqrt(log(1/tol))) terms as they spread ~sqrt(beta + p);
+    m = q.peak (of q.frame), each over the peak term, with Kahan
+    compensation, and returns h times the sum.  The term ratio is strictly
+    decreasing, so a side's remainder is bounded by its last node once its
+    ratio is below 1; the side with the larger bound takes the next node.
+    At h = 1 it is the series, O(sqrt(beta) * sqrt(log(1/tol))) terms;
     where _trapezoid_step takes a step h >= 5, the trapezoid rule, a few
     dozen nodes at any beta up to DBL_MAX.  A term is its neighbour times
     the term ratio, but every _REANCHOR-th and every node of the rule is
-    the exp of its offset log(t_k/t_m) (_log_offset, ~3.7x the cost).  A
-    forward-error bound on rounding is kept alongside (_walk); summation
-    stops once the method error <= tol - rounding, so tol bounds the total
-    error whenever rounding <= tol/2.  Otherwise (where |log B| runs to
-    several hundred or more, and log_value's own ulp nears tol) the method
-    error is pushed to tol/2 and the certificate honestly exceeds tol.
+    the exp of its offset log(t_k/t_m) (_log_offset, ~4x the cost).
+    Summation stops once the method error <= tol - rounding, its bound kept
+    alongside (_walk), so tol bounds the total error whenever rounding
+    <= tol/2.  Otherwise (|log B| of several hundred or more, where
+    log_value's own ulp nears tol) the method error is pushed to tol/2 and
+    the certificate honestly exceeds tol.
     """
     if not (0.0 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (0, 1e-3], got {tol!r}")
@@ -622,9 +615,11 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
 
 @lru_cache(maxsize=64)
 def stirling_second_row(p: int) -> tuple[int, ...]:
-    """Row p of the Stirling-numbers-of-the-second-kind triangle, exact
-    ints, built from row 0 by S(n, j) = S(n-1, j-1) + j S(n-1, j); only the
-    requested row is cached."""
+    """Row p of the Stirling-numbers-of-the-second-kind triangle, exact ints.
+
+    Built up from row 0 by S(n, j) = S(n-1, j-1) + j S(n-1, j); only the
+    requested row is cached.
+    """
     row = (1,)
     for n in range(1, p + 1):
         prev = row + (0,)  # S(n - 1, n) = 0
@@ -637,9 +632,12 @@ TOUCHARD_P_CAP = 30
 
 def bell_touchard_exact(p: int, beta):
     """Independent oracle: B(p, beta) = sum_j S(p, j) beta^j for integer p.
-    Exact (int or Fraction) when beta is exact; a float beta is summed
-    exactly as Fraction(beta) and rounded once, to within half an ulp.
-    beta = 1 reproduces the classical Bell numbers."""
+
+    Exact (int or Fraction) when beta is exact.  A float beta is summed
+    exactly as Fraction(beta) and rounded once, so the result is within
+    half an ulp of the exact sum.  beta = 1 reproduces the classical Bell
+    numbers.
+    """
     from fractions import Fraction  # only the oracle needs it
 
     if not isinstance(p, int) or p < 0:
@@ -656,13 +654,14 @@ def bell_touchard_exact(p: int, beta):
 
 
 def axis(start: float, stop: float, count: int, log: bool = False) -> list[float]:
-    """`count` points from start to stop, evenly or, when `log`, log-spaced,
-    without numpy.  The linear points are `start + i*step`, the last set to
-    `stop`, as np.linspace computes them (unless `step` underflows to 0);
-    the log points are `start`, `10.0 ** x` over the interior of the linear
-    axis of the log10 endpoints (within 1 ulp of np.logspace, whose
-    vectorised pow may round differently) and `stop` (10.0 **
-    log10(DBL_MAX) overflows).  DomainError for count < 1."""
+    """`count` points from start to stop, evenly spaced or, when `log`,
+    log-spaced, without importing numpy.  The linear points are
+    `start + i*step` with the last set to `stop`, as np.linspace computes
+    them (unless `step` underflows to 0); the log points are `start`,
+    `10.0 ** x` over the interior of the linear axis of the log10
+    endpoints, within 1 ulp of np.logspace, whose vectorised pow may round
+    differently, and `stop` (10.0 ** log10(DBL_MAX) overflows).
+    DomainError for count < 1."""
     if count < 1:
         raise DomainError(f"axis count must be >= 1, got {count!r}")
     if count == 1:
@@ -675,16 +674,17 @@ def axis(start: float, stop: float, count: int, log: bool = False) -> list[float
 
 
 def lambert_w(x: float) -> float:
-    """Principal-branch W(x) for finite x >= 0: the solution of w e^w = x.
+    """Principal-branch W(x) for finite x >= 0: the solution of w * e^w = x.
 
     Halley iteration from log1p(x), stopped after a step of at most
-    2^-26 w: the error cubes at each step, so what is left lies far below
-    rounding, where a test would cycle (at x = 0.25181370764269145 the
-    steps alternate by +-2 ulps).  W(0) = 0 is reached on the first step.
-    On 140k points, log-uniform over [5e-324, DBL_MAX] and [1e-6, 1e4], it
-    took at most 7 steps and stayed within 2.6e-16 relative of mpmath.  The
-    residual is carried divided by e^w, as w - x e^{-w}, so no step
-    overflows even at x = DBL_MAX.
+    2^-26 * w: Halley's error cubes at each step, so what is left then lies
+    far below rounding.  A test at the rounding level would cycle, as at
+    x = 0.25181370764269145, where the steps alternate between +-2 ulps.
+    W(0) = 0 is reached on the first step.  On 140k points, log-uniform
+    over [5e-324, DBL_MAX] and over [1e-6, 1e4], it took at most 7 steps and
+    stayed within 2.6e-16 relative of mpmath.  The residual w e^w - x is
+    carried divided by e^w, as w - x e^{-w}, so no step overflows even at
+    x = DBL_MAX.
     """
     if not (x >= 0 and math.isfinite(x)):
         raise DomainError(f"lambert_w requires finite x >= 0, got {x!r}")

@@ -772,17 +772,20 @@ class TestLogOffset:
     # the frame's dr_err is needed here: k = m, past 2**53
     @example(p=0.005414154432526086, beta=3.1990475595007836e+16, j=0,
              small=1, use_small=False)
+    # k < m 2**-53, where (k - m)/m rounds to -1, and a subnormal k/m
+    @example(p=1.0, beta=1e17, j=0, small=1, use_small=True)
+    @example(p=1.0, beta=1e308, j=0, small=1, use_small=True)
     @settings(max_examples=300, deadline=None)
     def test_error_within_bound(self, p, beta, j, small, use_small):
         # k = m + j h, h the trapezoid rule's step where it has one, else
-        # about a standard deviation of the terms, or k in the table below
-        # peaks m <= 1000 (the walk asks for k <= 20 only from m <= 52);
-        # against log t_k - log_peak to 50 digits
+        # about a standard deviation of the terms, or k in the table at any
+        # peak (the walk asks for k <= 20 only from m <= 52); against
+        # log t_k - log_peak to 50 digits
         mpmath = pytest.importorskip("mpmath")
         m = peak_index(p, beta)
         step = series._trapezoid_step(p, m, 1e-12)
         h = step[0] if step else max(1, round(math.sqrt(m / (1.0 + p / m))))
-        k = small if use_small and m <= 1000 else max(1, m + j * h)
+        k = small if use_small else max(1, m + j * h)
         frame = series._peak_frame(p, beta, m)
         got, err = series._log_offset(k, p, beta, frame)
         with mpmath.workdps(50):
