@@ -29,7 +29,9 @@ _BINOMIALS = tuple(tuple(float(math.comb(k, i)) for i in range(k + 1))
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Finite-support non-negative distribution: ((value, prob), ...)."""
+    """Finite-support non-negative distribution: ((value, prob), ...); its
+    top and power sums live in __dict__, unseen by ==, hash, repr and
+    dataclasses.replace."""
 
     atoms: tuple[tuple[float, float], ...]
 
@@ -46,25 +48,37 @@ class DiscreteDist:
                 raise DomainError(f"atom probability {pr} outside (0, 1]")
 
     @functools.cached_property
-    def top_exponent(self) -> float:
-        """math.frexp's binary exponent of the largest value, or -inf if
-        that is 0, on first use: _scale_exponent reads it on every moment."""
+    def top(self) -> tuple[float, float]:
+        """The largest value and math.frexp's binary exponent of it, or
+        -inf if it is 0, on first use: _scale_exponent reads the exponent
+        on every moment, and the value where it must scale."""
         top = max(self.atoms)[0]
-        return math.frexp(top)[1] if top else -math.inf
+        return top, (math.frexp(top)[1] if top else -math.inf)
+
+    def _power_sum(self, order, e: int) -> float:
+        """E[(X / 2**e)^order], formed once and kept in __dict__ under
+        (order, e); the power is a float (v**2.0 is v**2), so 2 and 2.0
+        read one value.  OverflowError from a power stores nothing."""
+        value = self.__dict__.get((order, e))
+        if value is None:
+            power = float(order)
+            value = self.__dict__[order, e] = math.fsum(
+                [v**power * pr for v, pr in _scaled(self.atoms, e)])
+        return value
 
     def mean(self) -> float:
-        return in_range("mean", math.fsum, (v * pr for v, pr in self.atoms))
+        """E X, the order-1 power sum (v**1.0 is v, bit for bit)."""
+        return in_range("mean", self._power_sum, 1, 0)
 
     def moment(self, p: float) -> float:
-        """E X^p, on the atoms divided by 2**e where the plain powers would
-        leave the double range (_scale_exponent), then scaled back.  At
-        e = 0 it is the plain sum over the atoms, bit for bit and at its
-        cost.  DomainError "moment of order <p> ..." when the moment
-        leaves the double range or its scaled terms underflow."""
+        """E X^p, the power sum on the atoms divided by 2**e where the plain
+        powers would leave the double range (_scale_exponent), then scaled
+        back.  At e = 0 it is the plain sum over the atoms, bit for bit.
+        DomainError "moment of order <p> ..." when the moment leaves the
+        double range or its scaled terms underflow."""
         e = _scale_exponent((self,), p)
         try:
-            value = in_range("", math.fsum,
-                             (v**p * pr for v, pr in _scaled(self.atoms, e)))
+            value = in_range("", self._power_sum, p, e)
             return _scale_back((value,), e, p, "")[0]
         except DomainError as exc:  # the order is formatted only on refusal
             raise DomainError(f"moment of order {p:g}{exc}") from None
@@ -117,7 +131,7 @@ def _scale_exponent(dists, p: float, samples: int = 0) -> int:
     `samples` draws, with a sum of `samples` squares of it below 2**1024;
     the power taken as at least 1 so that the sum fits too.  0 wherever it
     is in the double range, so that the atoms are then taken as given;
-    that test reads only each summand's cached top_exponent, not its atoms.
+    that test reads only each summand's cached top, not its atoms.
     Division by 2**e is exact, bar atoms pushed into the subnormals.
     DomainError for an order p that is not finite and > 0, before any
     power is taken, and for an empty family."""
@@ -127,14 +141,13 @@ def _scale_exponent(dists, p: float, samples: int = 0) -> int:
         raise DomainError("the family has no distribution")
     k = -math.inf  # the largest top exponent: tops < 2**(k + bit_length(n))
     for d in dists:  # a loop: ~0.4 us cheaper than max([...]) at n = 1
-        if d.top_exponent > k:
-            k = d.top_exponent
+        if d.top[1] > k:
+            k = d.top[1]
     room = 1024.0 - math.log2(samples) if samples else 1024.0
     power = max(2.0 * p if samples else p, 1.0)
     if (k + len(dists).bit_length()) * power <= room:
         return 0
-    tops = [max(d.atoms)[0] for d in dists]
-    bits = k + math.log2(math.fsum(math.ldexp(t, -k) for t in tops))
+    bits = k + math.log2(math.fsum(math.ldexp(d.top[0], -k) for d in dists))
     return max(0, math.floor(bits - room / power) + 1)
 
 
@@ -200,8 +213,9 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
 
     At integer p <= CONVOLUTION_MAX_P by moment convolution,
     E(X + Y)^k = sum_i C(k, i) E X^i E Y^(k-i), whose terms are all
-    non-negative: O(n p^2).  Otherwise by enumerating all outcome tuples
-    and accumulating prob * (sum of values)^p."""
+    non-negative: O(n p^2), on power sums formed once per summand, order
+    and e.  Otherwise by enumerating all outcome tuples and accumulating
+    prob * (sum of values)^p."""
     e = _scale_exponent(dists, p)
     what = "E(sum eta_j)^p"
     if p <= CONVOLUTION_MAX_P and p == int(p):
@@ -215,8 +229,8 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
 
 
 def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:
-    """E(sum eta_j)^p on the atoms divided by 2**e, by folding in the raw
-    moments E X^i, i = 0..p, of one summand at a time.
+    """E(sum eta_j)^p on the atoms divided by 2**e, by folding in the
+    stored power sums E X^i, i = 0..p, of one summand at a time.
 
     No partial product overflows: on the scaled atoms let S be the sum of
     the tops, so S**p < 2**1024 (up to rounding) by the choice of e.  A
@@ -228,9 +242,7 @@ def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:
     still overflow, which exact_sum_moment refuses."""
     acc = None
     for j, d in enumerate(dists):
-        scaled = _scaled(d.atoms, e)
-        moments = [math.fsum([v**i * pr for v, pr in scaled])
-                   for i in range(p + 1)]
+        moments = [d._power_sum(i, e) for i in range(p + 1)]
         if acc is None:
             acc = moments
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -507,11 +508,12 @@ class TestScaledMoments:
             d.moment(p)
             exact_sum_moment([d, COIN, d], p)
         assert calls == []
-        # e = 77: the atoms themselves are divided by 2**77
-        self.TINY_TAIL.moment(4)
+        # e = 77: the atoms themselves are divided by 2**77 (on fresh
+        # instances: the class-level one may hold its e = 77 sums already)
+        DiscreteDist(self.TINY_TAIL.atoms).moment(4)
         assert (1e100, -77) in calls
         calls.clear()
-        exact_sum_moment([self.TINY_TAIL], 4)
+        exact_sum_moment([DiscreteDist(self.TINY_TAIL.atoms)], 4)
         assert (1e100, -77) in calls
 
     @given(dists=st.lists(moment_dists.filter(lambda d: len(d.atoms) >= 2),
@@ -571,6 +573,73 @@ class TestScaledMoments:
             d.moment(1713)
         with pytest.raises(DomainError, match="underflows"):
             exact_sum_moment([d], 1713)
+
+
+class CountedFloat(float):
+    """A float that records each power taken of it in `POWERS`."""
+
+    def __pow__(self, power):
+        POWERS.append((float(self), power))
+        return float(self) ** power
+
+
+POWERS: list[tuple[float, float]] = []
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestPowerSums:
+    def test_each_power_sum_formed_once(self):
+        # mean, moment and the convolution read one stored E X^i per
+        # summand, order and e: each atom is raised to each order once
+        POWERS.clear()
+        d = DiscreteDist(((CountedFloat(0.5), 0.25),
+                          (CountedFloat(3.0), 0.75)))
+        coin = DiscreteDist(((CountedFloat(0.0), 0.5),
+                             (CountedFloat(1.0), 0.5)))
+        for p in (2.0, 3.0, 4.0):
+            d.moment(p)
+            d.mean()
+            exact_sum_moment([d, coin, d], p)
+        assert sorted(POWERS) == sorted(
+            (v, float(i)) for v in (0.5, 3.0, 0.0, 1.0) for i in range(5))
+
+    @given(dists=st.lists(moment_dists, min_size=1, max_size=3),
+           rare=st.sampled_from([None, 1e100, 1e120]),
+           asks=st.permutations([("mean", None)]
+                                + [(f, p) for f in ("moment", "exact")
+                                   for p in (2.0, 3, 4.0, 2.5)]))
+    @settings(max_examples=100, deadline=None)
+    def test_stored_sums_change_no_value(self, dists, rare, asks):
+        # a rare huge atom makes e > 0 at some orders (e = 58 and 143 at
+        # p = 3 and 4 for 1e120), and the first summand appears twice, as
+        # one object; the reused instances answer each order, in any
+        # order, as fresh ones do, bit for bit
+        if rare is not None:
+            dists = [DiscreteDist(((rare, 1e-200), (1.0, 1.0)))] + dists
+        dists = dists + dists[:1]
+        for what, p in asks:
+            fresh = [DiscreteDist(d.atoms) for d in dists]
+            if what == "mean":
+                assert [d.mean() for d in dists] == [d.mean() for d in fresh]
+            elif what == "moment":
+                assert ([outcome(d.moment, p) for d in dists]
+                        == [outcome(d.moment, p) for d in fresh])
+            else:
+                assert (outcome(exact_sum_moment, dists, p)
+                        == outcome(exact_sum_moment, fresh, p))
+        for d in dists:
+            fresh = DiscreteDist(d.atoms)
+            assert (1, 0) in vars(d)  # the mean, stored under (order, e)
+            assert d == fresh and hash(d) == hash(fresh)
+            assert repr(d) == repr(fresh)
+            assert vars(dataclasses.replace(d)) == vars(fresh)
 
 
 class TestCheckFamily:
