@@ -101,7 +101,7 @@ def lower_h0_search(q: BellQuery) -> H0Result:
     """
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
-    m, _, _, _, log_peak, _ = q.frame
+    m, _, _, log_peak, _ = q.frame
     return H0Result(log_bound_on_b=log_peak, k_star=m, p=q.p)
 
 
@@ -143,7 +143,7 @@ def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
     if q.p <= 0:
         raise DomainError(f"lower_h_continuous requires p > 0, got p={q.p}")
     p, beta = q.p, q.beta
-    m, _, _, _, log_peak, _ = q.frame
+    m, _, _, log_peak, _ = q.frame
     log_beta = math.log(beta)
     x = float(m)
     last = math.inf

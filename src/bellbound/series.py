@@ -81,7 +81,7 @@ class BellQuery:
             lam = self.lambda_star
         return _peak_frame(p, beta, peak_index(p, beta, lam))
 
-    @cached_property
+    @property
     def peak(self) -> int:
         """peak_index(p, beta): the frame's m."""
         return self.frame[0]
@@ -160,7 +160,7 @@ _U = 2.0**-53
 _REANCHOR = 32
 
 # Exact log(k!) for k <= _LOG_FACTORIAL_MAX, each exactly rounded, as
-# _log_poisson's bound charges (lgamma(3) is off log(2) by one ulp).  Beyond
+# _log_dr's bound charges (lgamma(3) is off log(2) by one ulp).  Beyond
 # it the Stirling remainder below is accurate to well under an ulp.
 _LOG_FACTORIAL_MAX = 20
 _LOG_FACTORIAL = tuple(math.log(math.factorial(k))
@@ -209,62 +209,63 @@ def _poisson_deviance(x: float, beta: float,
     return dev, x * log_err + 2.0 * abs(lr) + abs(lr + beta) + abs(dev)
 
 
-def _log_poisson(k: int, beta: float, log_beta: float) -> tuple[float, float]:
-    """log of the Poisson(beta) mass at k, k log beta - beta - log k!, and
-    a first-order bound on its rounding error, in units of _U.
+def _log_dr(k: int, beta: float) -> tuple[float, float]:
+    """dr = -log Poisson_beta(k) - log(2 pi k)/2, so that log t_k =
+    p log k - log(2 pi k)/2 - dr: the one routine that forms a Dobinski
+    term.  Returns (dr, err), err a first-order bound on dr's rounding, in
+    units of _U.
 
-    Beyond the exact table this is -(D + log(2 pi k)/2 + R), with D the
-    Poisson deviance and R the Stirling remainder of log k!, which errs by
-    less than its first omitted term, 691/(360360 k^11) < u/10.  From
-    2**52 beta is an integer and k - beta is formed exactly, so D keeps
-    its digits where k has no double.  The bound, term by term: in the
-    table, log_beta errs by 2|log beta| units, so k log_beta by
-    3|k log beta|, the correctly rounded log k! by log k!, and each
-    difference by its result.  Beyond it, log(2 pi k)/2 errs by at most
-    3 times itself, each of the two sums by its result, and R by less
-    than 1.
+    Beyond the exact table dr = D + R, with D the Poisson deviance and R
+    the Stirling remainder of log k!, which errs by less than its first
+    omitted term, 691/(360360 k^11) < u/10.  From 2**52 beta is an integer
+    and k - beta is formed exactly, so D keeps its digits where k has no
+    double.  The bound there: D's own, less than 1 for R and |dr| for the
+    sum.  In the table dr is formed from log Poisson(k) = k log beta - beta
+    - log k!: log beta errs by 2|log beta| units, so k log beta by
+    3|k log beta|, the correctly rounded log k! by log k!, each difference
+    by its result, log(2 pi k)/2 by at most 3 times itself and the last sum
+    by |dr|.
     """
     if k <= _LOG_FACTORIAL_MAX:
         lf = _LOG_FACTORIAL[k]
-        kl = k * log_beta
+        kl = k * math.log(beta)
         head = kl - lf
-        value = head - beta
-        return value, 3.0 * abs(kl) + lf + abs(head) + abs(value)
+        log_pois = head - beta
+        half_log = _HALF_LOG_2PI + 0.5 * math.log(k)
+        dr = -log_pois - half_log
+        return dr, (3.0 * abs(kl) + lf + abs(head) + abs(log_pois)
+                    + 3.0 * half_log + abs(dr))
     x = float(k)
     d = float(k - int(beta)) if beta >= _INTEGER_FLOATS else k - beta
     dev, err = _poisson_deviance(x, beta, d)
     r = 1.0 / (x * x)
-    rem = (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680
-           - r / 1188) * r) * r) * r) / x
-    half_log = _HALF_LOG_2PI + 0.5 * math.log(x)
-    head = dev + half_log
-    return -(head + rem), err + 3.0 * half_log + 2.0 * head + 1.0
+    dr = dev + (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680
+                - r / 1188) * r) * r) * r) / x
+    return dr, err + 1.0 + abs(dr)
 
 
 def log_term(k: int, p: float, beta: float) -> float:
     """Natural log of the k-th Dobinski term e^{-beta} k^p beta^k / k!, for
-    k >= 1, as _peak_frame forms log t_m: p log k plus _log_poisson's
-    value.  It errs by at most _U (pois_err + 3|p log k| + |log t_k|),
-    pois_err the bound that _log_poisson returns."""
-    return p * math.log(k) + _log_poisson(k, beta, math.log(beta))[0]
+    k >= 1: the log_peak of _peak_frame at m = k, which bounds its error."""
+    return _peak_frame(p, beta, k)[3]
 
 
 def _peak_frame(p: float, beta: float, m: int) -> tuple:
-    """The peak frame at m, the tuple (m, dr_m, dr_err, pois_err, log_peak,
-    peak_err).  log_peak = log t_m, as log_term forms it, errs by peak_err
-    (from p log m, float(m) past 2**53 and the sum) plus _U pois_err, the
-    bound of its Poisson log log_pois (_log_poisson).  _log_offset measures
-    from dr_m = -log_pois - log(2 pi m)/2, D(m) + R(m) beyond the table, so
-    log_pois's error cancels; dr_err, in units of _U, bounds the rounding of
-    dr_m and log(2 pi m)/2.  A tuple: a NamedTuple costs ~0.4 us a query."""
-    log_pois, pois_err = _log_poisson(m, beta, math.log(beta))
+    """The peak frame at m, the tuple (m, dr_m, dr_err, log_peak, peak_err).
+    dr_m and its bound dr_err (in units of _U) are _log_dr's at m, and
+    log_peak = log t_m = p log m - (dr_m + log(2 pi m)/2) errs by at most
+    peak_err + _U dr_err: peak_err charges p log m (with float(m) past
+    2**53), log(2 pi m)/2 and the two sums.  _log_offset measures from dr_m,
+    so dr_m's rounding cancels from log_peak + offset.  A tuple: a
+    NamedTuple costs ~0.4 us a query."""
+    dr_m, dr_err = _log_dr(m, beta)
     half_log = _HALF_LOG_2PI + 0.5 * math.log(m)
-    dr_m = -log_pois - half_log
     log_pow = p * math.log(m)
-    log_peak = log_pow + log_pois
-    peak_err = _U * (3.0 * abs(log_pow) + abs(log_peak)
-                     + (p if m > 2**53 else 0.0))
-    return m, dr_m, 3.0 * half_log + abs(dr_m), pois_err, log_peak, peak_err
+    head = dr_m + half_log
+    log_peak = log_pow - head
+    peak_err = _U * (3.0 * abs(log_pow) + 3.0 * half_log + abs(head)
+                     + abs(log_peak) + (p if m > 2**53 else 0.0))
+    return m, dr_m, dr_err, log_peak, peak_err
 
 
 # Doubles from 2**52 up are integers.
@@ -334,11 +335,15 @@ def peak_index(p: float, beta: float, lam: float | None = None) -> int:
     side decide it in two evaluations, or, past 2**53, where floor(p/lam)
     misses by more, narrow the bracket.  No seed from beta = 2**52, where
     it could meet another crossing than bisection.  BellQuery.frame says
-    where the seed pays for its Lambert W.  A peak with no double
-    (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
+    where the seed pays for its Lambert W.  The bracket's upper end is
+    clamped to the least int that float() refuses, so every ratio takes a
+    double k; a peak with no double (p ~ 1e300 at beta = DBL_MAX, say) is
+    refused with DomainError.
     """
     log_beta = math.log(beta)
-    lo, hi = max(0, math.floor(beta) - 2), math.ceil(beta) + math.ceil(p) + 1
+    top = 2**1024 - 2**970  # the least int that float() refuses
+    lo, hi = max(0, math.floor(beta) - 2), min(
+        math.ceil(beta) + math.ceil(p) + 1, top)
     if lam and beta < _INTEGER_FLOATS and p / lam < hi:
         k = max(lo + 1, math.floor(p / lam))
         for _ in range(2):  # the seed, then its neighbour on the peak's side
@@ -354,7 +359,7 @@ def peak_index(p: float, beta: float, lam: float | None = None) -> int:
             lo = mid
         else:
             hi = mid
-    if hi >= 2**1024 - 2**970:  # the least int that float() refuses
+    if hi == top:
         raise DomainError(f"peak index of p={p}, beta={beta} exceeds DBL_MAX")
     return hi
 
@@ -364,34 +369,20 @@ def _log_offset(k: int, p: float, beta: float,
     """log(t_k / t_m) for the peak m of frame (_peak_frame), and err:
     log_peak + offset errs from log t_k by <= peak_err + _U err (first order).
 
-    The offset is (p - 1/2) L + dr_m - dr_k: L = log(k/m), as
-    log1p((k - m)/m) from k = m/2 up; dr = D + R (_poisson_deviance and
-    _log_poisson's Stirling remainder), or in the table -log Poisson(k) -
-    log(2 pi k)/2.  The bound: the quotient rounds once, moving L by
+    The offset is (p - 1/2) L + dr_m - dr_k (_log_dr): L = log(k/m), as
+    log1p((k - m)/m) from k = m/2 up.  dr_m's rounding cancels against
+    log_peak's.  The bound: the quotient rounds once, moving L by
     |k - m|/k units, or 1 below m/2 (a subnormal k/m, at |L| > 708, takes
     the spare unit of 4|(p - 1/2) L|, which the log, p - 1/2 and the
-    product add); dr_k brings D's bound, 1 for R and |dr_k| (in the table,
-    _log_poisson's bound, 3 log(2 pi k)/2 and |dr_k|), dr_m the frame's
-    dr_err, the last two sums their results.
+    product add); dr_k brings _log_dr's bound, the last two sums their
+    results.
     """
-    m, dr_m, err, _, _, _ = frame
+    m, dr_m, _, _, _ = frame
     if 2 * k < m:
         lp, q_err = (p - 0.5) * math.log(k / m), 1.0
     else:
         lp, q_err = (p - 0.5) * math.log1p((k - m) / m), abs(k - m) / k
-    if k > _LOG_FACTORIAL_MAX:
-        x = float(k)
-        d = float(k - int(beta)) if beta >= _INTEGER_FLOATS else k - beta
-        dev, dev_err = _poisson_deviance(x, beta, d)
-        r = 1.0 / (x * x)
-        dr = dev + (1.0 / 12 - (1.0 / 360 - (1.0 / 1260 - (1.0 / 1680
-                    - r / 1188) * r) * r) * r) / x
-        err += dev_err + 1.0 + abs(dr)
-    else:
-        log_pois, pois_err = _log_poisson(k, beta, math.log(beta))
-        half_log = _HALF_LOG_2PI + 0.5 * math.log(k)
-        dr = -log_pois - half_log
-        err += pois_err + 3.0 * half_log + abs(dr)
+    dr, err = _log_dr(k, beta)
     diff = dr_m - dr
     off = lp + diff
     return off, (err + abs(p - 0.5) * q_err + 4.0 * abs(lp) + abs(diff)
@@ -475,12 +466,12 @@ def _edge_tail(lo: float, lo_prev: float, edge: float, inv_h: float) -> float:
         0.5 * inv_h * d) / -math.expm1(inv_h * d)) if d < 0.0 else math.inf
 
 
-def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
-          alias: float = 0.0, floor: float = 0.0,
-          frame: tuple | None = None) -> EvalResult | None:
+def _walk(p: float, beta: float, frame: tuple, tol: float, h: int = 1,
+          alias: float = 0.0, floor: float = 0.0) -> EvalResult | None:
     """The walk of bell_dobinski over the nodes m + j h, outward from the
-    peak m: the series at h = 1, above it the trapezoid rule of
-    _trapezoid_step (h, alias, floor), None once a node would pass floor.
+    peak m of frame (_peak_frame): the series at h = 1, above it the
+    trapezoid rule of _trapezoid_step (h, alias, floor), None once a node
+    would pass floor.
 
     A node is its neighbour times the term ratio or, every anchor-th
     (every _REANCHOR-th at h = 1, every node above), the exp of its offset
@@ -488,15 +479,14 @@ def _walk(p: float, beta: float, m: int, tol: float, h: int = 1,
     last ratio, and _edge_tail above; the left tail is 0 at k = 1.  The
     rule adds alias (T + edges) for its two aliasing errors.
 
-    First-order rounding model, from the peak frame (the query's, or
-    _peak_frame at m): peak_err shifts log_value, and a term's error moves
-    it by that error times the term's share of the sum.  The peak and the
-    ratio-built terms carry pois_err, an offset its own bound and 2 units
-    for its exp; off_err sums them, weighted, in units of _U.  The sum, its
-    log and the final addition cost 4 units more, and h s one at h > 1.
+    First-order rounding model, from the frame: peak_err shifts log_value,
+    and a term's error moves it by that error times the term's share of the
+    sum.  The peak and the ratio-built terms carry dr_err, an offset its own
+    bound and 2 units for its exp; off_err sums them, weighted, in units of
+    _U.  The sum, its log and the final addition cost 4 units more, and
+    h s one at h > 1.
     """
-    frame = frame or _peak_frame(p, beta, m)
-    _, _, _, off_err, log_peak, peak_err = frame
+    m, _, off_err, log_peak, peak_err = frame
     rule = h > 1  # the trapezoid rule, not the series
     units = 5.0 if rule else 4.0
     anchor = h if rule else _REANCHOR
@@ -582,7 +572,7 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
     the walk stops at k = 1, as t_0 = 0.  p > P_MAX is refused.
 
     One walk, _walk, sums the nodes m + j h outward from the largest term
-    m = q.peak (of q.frame), each over the peak term, with Kahan
+    m, the peak of the query's frame q.frame, each over it, with Kahan
     compensation, and returns h times the sum.  The term ratio is strictly
     decreasing, so a side's remainder is bounded by its last node once its
     ratio is below 1; the side with the larger bound takes the next node.
@@ -609,8 +599,8 @@ def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:
                           peak_index=m, rounding_bound_log=-math.inf,
                           method="ClosedForm")
     step = _trapezoid_step(p, m, tol)
-    return ((step and _walk(p, beta, m, tol, *step, frame=frame))
-            or _walk(p, beta, m, tol, frame=frame))
+    return ((step and _walk(p, beta, frame, tol, *step))
+            or _walk(p, beta, frame, tol))
 
 
 @lru_cache(maxsize=64)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellbound import (BellQuery, DomainError, bell_dobinski,
@@ -773,6 +773,8 @@ class TestCandidates:
 
     @given(p=log_uniform(1.0, sys.float_info.max),
            beta=log_uniform(5e-324, sys.float_info.max))
+    # a peak near DBL_MAX whose search bracket's upper end passes it
+    @example(p=1.3549863193146328e+308, beta=8.218407461554972e+307)
     @settings(max_examples=300, deadline=None)
     def test_extreme_inputs_give_a_double_or_a_refusal(self, p, beta):
         q = BellQuery(p, beta)

@@ -43,7 +43,7 @@ class TestBellQuery:
     def test_cached_peak_is_not_part_of_the_value(self):
         cached, fresh = BellQuery(37, 3.3), BellQuery(37, 3.3)
         assert cached.peak == peak_index(37, 3.3)
-        assert "peak" in vars(cached) and "peak" not in vars(fresh)
+        assert "frame" in vars(cached) and "frame" not in vars(fresh)
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh) == "BellQuery(p=37, beta=3.3)"
 
@@ -51,7 +51,7 @@ class TestBellQuery:
         q = BellQuery(37, 3.3)
         assert q.peak == 20
         moved = dataclasses.replace(q, beta=100.0)
-        assert "peak" not in vars(moved)
+        assert "frame" not in vars(moved)
         assert moved.peak == peak_index(37, 100.0) != q.peak
 
     def test_refused_peak_is_not_cached(self):
@@ -59,14 +59,14 @@ class TestBellQuery:
         for _ in range(2):
             with pytest.raises(DomainError, match="peak index"):
                 q.peak
-        assert "peak" not in vars(q)
+        assert "frame" not in vars(q)
 
     def test_cached_frame_and_lambda_are_not_part_of_the_value(self):
         cached, fresh = BellQuery(37, 3.3), BellQuery(37, 3.3)
-        m, _, _, _, log_peak, _ = cached.frame
+        m, _, _, log_peak, _ = cached.frame
         assert m == cached.peak == 20 and log_peak == log_term(20, 37, 3.3)
         assert cached.lambda_star == series.lambert_w(37 / 3.3)
-        assert {"frame", "peak", "lambda_star"} <= vars(cached).keys()
+        assert {"frame", "lambda_star"} <= vars(cached).keys()
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh) == "BellQuery(p=37, beta=3.3)"
         refused = BellQuery(1e300, sys.float_info.max)
@@ -205,7 +205,8 @@ class TestDobinski:
         # and a walk whose next node would pass below its floor gives up
         m = peak_index(2.0, 1e4)
         h, alias, _ = series._trapezoid_step(2.0, m, 1e-12)
-        assert series._walk(2.0, 1e4, m, 1e-12, h, alias, m - h) is None
+        frame = series._peak_frame(2.0, 1e4, m)
+        assert series._walk(2.0, 1e4, frame, 1e-12, h, alias, m - h) is None
 
     def test_floor_that_rounds_to_the_peak(self):
         # at beta ~1e151 the floor rounds to float(m); the first left node,
@@ -215,7 +216,8 @@ class TestDobinski:
         m = peak_index(p, beta)
         step = series._trapezoid_step(p, m, tol)
         assert step[2] == float(m)
-        assert series._walk(p, beta, m, tol, *step).method == "Trapezoid"
+        frame = series._peak_frame(p, beta, m)
+        assert series._walk(p, beta, frame, tol, *step).method == "Trapezoid"
 
     def test_trapezoid_falls_back_where_its_step_would_be_1(self):
         # at beta = 1800 the floor lies above 0, but the strip below it is
@@ -437,13 +439,15 @@ def log_error(res, exact, mpmath) -> float:
 
 def unit_steps(p, beta, tol=1e-12):
     """The series summed term by term, at any beta."""
-    return series._walk(p, beta, peak_index(p, beta), tol)
+    frame = series._peak_frame(p, beta, peak_index(p, beta))
+    return series._walk(p, beta, frame, tol)
 
 
 def trapezoid(p, beta, tol=1e-12):
     """The trapezoid rule, at any beta where it can certify tol."""
     m = peak_index(p, beta)
-    return series._walk(p, beta, m, tol, *series._trapezoid_step(p, m, tol))
+    return series._walk(p, beta, series._peak_frame(p, beta, m), tol,
+                        *series._trapezoid_step(p, m, tol))
 
 
 class TestCertificate:
@@ -663,7 +667,8 @@ class TestTrapezoid:
                 return (first if abs(k - m) == h else -1e4), 0.0
 
             monkeypatch.setattr(series, "_log_offset", offset)
-            res = series._walk(p, beta, m, 1e-12, h, alias, floor)
+            res = series._walk(p, beta, series._peak_frame(p, beta, m),
+                               1e-12, h, alias, floor)
             assert asked == [m + h, m + 2 * h, m - h, m - 2 * h]
             assert res.terms_used == 5
             assert 0.0 <= math.exp(res.tail_bound_log) < math.inf
@@ -677,12 +682,14 @@ class TestTrapezoid:
 class TestPoissonRounding:
     @staticmethod
     def error_in_units(k, beta):
-        # |computed - exact| of log Poisson(beta)(k), over its bound
+        # |computed - exact| of dr = -log Poisson(beta)(k) - log(2 pi k)/2,
+        # and its bound
         mpmath = pytest.importorskip("mpmath")
-        got, err = series._log_poisson(k, beta, math.log(beta))
+        got, err = series._log_dr(k, beta)
         with mpmath.workdps(50):
             b = mpmath.mpf(beta)
-            want = k * mpmath.log(b) - b - mpmath.loggamma(k + 1)
+            want = (-(k * mpmath.log(b) - b - mpmath.loggamma(k + 1))
+                    - mpmath.log(2 * mpmath.pi * k) / 2)
             return float(abs(got - want) / series._U), err
 
     def test_peak_of_60_8_at_181_96(self):
@@ -719,20 +726,19 @@ class TestPoissonRounding:
            at_peak=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_log_term_within_the_walks_charge(self, p, beta, k, at_peak):
-        # the charge _walk puts on its peak term: the Poisson log's bound,
-        # 3 |p log k| for p log k and |log t_k| for the sum
+        # the charge _walk puts on its peak term: the frame's peak_err, and
+        # dr_err for the peak's dr
         mpmath = pytest.importorskip("mpmath")
         if at_peak:
             k = peak_index(p, beta)
         got = log_term(k, p, beta)
-        pois_err = series._log_poisson(k, beta, math.log(beta))[1]
+        _, _, dr_err, _, peak_err = series._peak_frame(p, beta, k)
         with mpmath.workdps(50):
             mb = mpmath.mpf(beta)
             want = (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
                     - mpmath.loggamma(k + 1))
             seen = float(abs(got - want))
-        assert seen <= series._U * (
-            pois_err + 3.0 * abs(p * math.log(k)) + abs(got))
+        assert seen <= peak_err + series._U * dr_err
 
     @given(p=st.floats(1e-3, 500.0), beta=st.floats(-3.0, 3.0).map(
         lambda t: 10.0**t))
@@ -791,9 +797,9 @@ class TestLogOffset:
         with mpmath.workdps(50):
             mb = mpmath.mpf(beta)
             want = (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
-                    - mpmath.loggamma(k + 1) - mpmath.mpf(frame[4]))
+                    - mpmath.loggamma(k + 1) - mpmath.mpf(frame[3]))
             seen = float(abs(got - want))
-        assert seen <= series._U * err + frame[5]
+        assert seen <= series._U * err + frame[4]
 
 
 class TestTouchard:
