@@ -6,10 +6,10 @@ triangle-inequality bound.  Lower side: the largest single Dobinski term
 (integer search), its Stirling-smoothed continuous relaxation, the
 closed-form term at k0, Jensen's beta, and the K- * beta candidate.  All
 objectives are evaluated in log-space.  CANDIDATES lists every public bound
-once; the sandwich suite checks them all, and bound_report ranks the reported
-ones, with GOptimized alone on the upper side.  Every bound leaves log
-space through series.in_range, so it returns a finite double or raises
-DomainError.  Each query computes its peak frame, BellQuery.frame (the
+once; verify.check_point checks them all against the series at a point,
+and bound_report ranks the reported ones, with GOptimized alone on the
+upper side.  Every bound leaves log space through series.in_range, so it
+returns a finite double or raises DomainError.  Each query computes its peak frame, BellQuery.frame (the
 largest term's index m and log t_m), and the MGF optimum
 BellQuery.lambda_star once: the series, H0Search and HContinuous share
 the frame, and GOptimized reads lambda_star, which bound_report computes
@@ -336,13 +336,6 @@ class Candidate(NamedTuple):  # cheaper to build at import than a dataclass
     reported: bool
     witness_key: str | None
     evaluate: Callable[[BellQuery], tuple[float, float | None]]
-
-    def on_side(self, value: float, root: float, slack: float) -> bool:
-        """True when value lies on this bound's side of root = B^{1/p},
-        within relative slack (False for NaN)."""
-        if self.side == "lower":
-            return value <= root * (1.0 + slack)
-        return value >= root * (1.0 - slack)
 
 
 # Every public bound, lower side first.  The adapters look each bound up in

@@ -140,13 +140,16 @@ def in_range(what: str, f, *args) -> float:
     any computation that can leave the double range.  DomainError
     "<what> exceeds the double range" when f raises OverflowError or
     returns inf or NaN; for f = math.exp the message names the exponent,
-    "<what> = exp(<x>) exceeds ...".  Pass a constant `what` on hot paths."""
+    "<what> = exp(<x>) exceeds ...", or "the log of <what> passes the double
+    range" where x is inf or NaN.  Pass a constant `what` on hot paths."""
     try:
         value = f(*args)
     except OverflowError:
         value = math.inf
     if math.isfinite(value):
         return value
+    if f is math.exp and not math.isfinite(args[0]):
+        raise DomainError(f"the log of {what} passes the double range")
     at = f" = exp({args[0]:.6g})" if f is math.exp else ""
     raise DomainError(f"{what}{at} exceeds the double range")
 

@@ -1,5 +1,6 @@
-"""Self-verification suites: oracle agreement, bound sandwiches, constant
-reproduction, asymptotic residuals, and the moment-inequality checks.
+"""Self-verification suites: oracle agreement, bound sandwiches (each
+point through check_point, which the tests share), constant reproduction,
+asymptotic residuals, and the moment-inequality checks.
 
 Each suite returns a list of CheckResult records; the CLI prints one
 pass/fail line per check and the acceptance tests assert on them.  The
@@ -56,53 +57,84 @@ def suite_oracles() -> list[CheckResult]:
     return results
 
 
-def suite_sandwich() -> list[CheckResult]:
-    """Bilateral sandwich on the acceptance grid, the domination of the
-    closed forms by the MGF infimum, the K+/K- constants, and the
-    relative-error corollary.
-
-    Every bounds.CANDIDATES entry is checked at every grid point where its
-    own guard accepts the point; a DomainError skips it."""
+def check_point(q: BellQuery, report=None) -> list[tuple[str, float, float]]:
+    """Each violation at q as (label, p, beta), against the series' root in
+    report (bounds.bound_report(q) unless given).  Each bounds.CANDIDATES
+    entry gives a DomainError or a finite double on its side of the root;
+    GOptimized lies under the MGF bounds it minimises (slack 1e-12); the
+    report's bounds lie on their sides and in order, lower_method is "none"
+    exactly where lower is not finite, and the K- flag agrees with the
+    series.  Slack REL_SLACK; without a root, only the root-free checks run."""
     from . import bounds
 
-    results = []
+    if report is None:
+        report = bounds.bound_report(q)
+    root = report.series_root
+    # a lower value above `over` or an upper one below `under` is on the
+    # wrong side; NaN, where there is no root, puts nothing there
+    over, under = ((math.nan, math.nan) if root is None
+                   else (root * (1 + REL_SLACK), root * (1 - REL_SLACK)))
+    bad, values = [], {}
+    for c in bounds.CANDIDATES:
+        try:
+            v = values[c.name] = c.evaluate(q)[0]
+        except DomainError:
+            continue
+        if not math.isfinite(v) or (
+                v > over if c.side == "lower" else v < under):
+            bad.append(c.name)
+    # the closed form and K+ * beta are the MGF bound at one lambda each
+    g = values.get("GOptimized", -math.inf)
+    bad += [f"GOptimized>{name}"
+            for name in ("ClosedFormLargeP(upper)", "KPlusLargeBeta")
+            if g > values.get(name, math.inf) * (1 + 1e-12)]
+    lower, km = report.lower, report.kminus
+    bad += [label for label, failed in (
+        ("report.lower", lower > over),
+        ("report.upper", report.upper < under),
+        ("report.lower>upper", lower > report.upper * (1 + REL_SLACK)),
+        ("report.lower_method",
+         (report.lower_method == "none") == math.isfinite(lower)),
+        ("report.kminus.holds", km is not None and root is not None
+         and km.holds != (km.value <= over)),
+    ) if failed]
+    return [(label, q.p, q.beta) for label in bad]
+
+
+def suite_sandwich() -> list[CheckResult]:
+    """check_point at every point of the acceptance grid, the K+/K-
+    constants, and the relative-error corollary."""
+    from . import bounds
+
     violations = []
+    large_beta = 0
     dev_by_p: dict[float, float] = {}
 
     for p in GRID_P:
         for beta in GRID_BETA:
             q = BellQuery(p, beta)
-            root = bell_dobinski(q).root(p)
-            values = {}
-            for c in bounds.CANDIDATES:
-                try:
-                    values[c.name], _ = c.evaluate(q)
-                except DomainError:
-                    continue
-                if not c.on_side(values[c.name], root, REL_SLACK):
-                    violations.append((c.name, p, beta))
-
-            g = values["GOptimized"]
-            for name in ("ClosedFormLargeP(upper)", "KPlusLargeBeta"):
-                if g > values.get(name, math.inf) * (1 + REL_SLACK):
-                    violations.append((f"GOptimized>{name}", p, beta))
-            if "ClosedFormLargeP(upper)" in values:  # p/beta >= 2
+            report = bounds.bound_report(q)
+            violations += check_point(q, report)
+            large_beta += report.kminus is not None
+            if q.ratio >= 2.0:
                 # deviation of B^{1/p} from p/(e ln r), r = p/beta, scaled
                 # by ln r / lnln r
-                lr = math.log(p / beta)
+                lr = math.log(q.ratio)
                 ref = p / (math.e * lr)
-                dev = abs(root - ref) / ref * lr / math.log(lr)
+                dev = abs(report.series_root - ref) / ref * lr / math.log(lr)
                 dev_by_p[p] = max(dev_by_p.get(p, -math.inf), dev)
 
-    results.append(CheckResult(
+    results = [CheckResult(
         "sandwich", not violations,
         f"{len(violations)} violations on {len(GRID_P)}x{len(GRID_BETA)} grid"
-        + (f"; first: {violations[0]}" if violations else "")))
+        + (f"; first: {violations[0]}" if violations else ""))]
     k_minus_max = max(bounds.K_MINUS_FORMULA, bounds.K_MINUS_PAPER)
+    flags_bad = sum(v[0] == "report.kminus.holds" for v in violations)
     results.append(CheckResult(
-        "kminus-flags", k_minus_max <= 1.0,
+        "kminus-flags", k_minus_max <= 1.0 and not flags_bad,
         f"K- <= {k_minus_max} <= 1, so K- * beta <= beta <= B^(1/p) "
-        "(Jensen) at every LargeBeta point"))
+        f"(Jensen); the flag disagrees with the series at {flags_bad} of "
+        f"{large_beta} LargeBeta points"))
 
     k_plus_ok = abs(bounds.K_PLUS - 8.9758) <= 1e-3
     results.append(CheckResult(
@@ -117,13 +149,10 @@ def suite_sandwich() -> list[CheckResult]:
 
     # Relative-error corollary: the normalized deviation is finite with a
     # stable running max over the top octave of p.
-    ps = sorted(dev_by_p)
-    running = -math.inf
-    run_at_half = None
-    for p in ps:
-        running = max(running, dev_by_p[p])
-        if p <= ps[-1] / 2.0:
-            run_at_half = running
+    half = max(dev_by_p, default=0.0) / 2.0
+    running = max(dev_by_p.values(), default=-math.inf)
+    run_at_half = max((v for p, v in dev_by_p.items() if p <= half),
+                      default=None)
     finite = all(math.isfinite(v) for v in dev_by_p.values())
     stable = run_at_half is not None and running <= run_at_half * (1 + 1e-12)
     results.append(CheckResult(

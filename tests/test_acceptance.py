@@ -2,13 +2,11 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
-import math
 import time
 
-import numpy as np
 import pytest
 
-from bellbound import BellQuery, bell_dobinski
+from bellbound import BellQuery
 from bellbound import bounds, verify
 from bellbound.cli import main
 
@@ -56,17 +54,10 @@ def test_criterion_3_constant_reproduction():
 
 
 def test_criterion_4_closed_form_consistency():
-    bad = 0
-    for p in verify.GRID_P:
-        for beta in verify.GRID_BETA:
-            q = BellQuery(p, beta)
-            if q.ratio < 2.0:
-                continue
-            root = bell_dobinski(q).root(p)
-            cf = bounds.upper_closed_form_largep(q)
-            g, _ = bounds.upper_g_optimized(q)
-            if cf < root * (1 - 1e-9) or g > cf * (1 + 1e-9):
-                bad += 1
+    labels = {"ClosedFormLargeP(upper)", "GOptimized>ClosedFormLargeP(upper)"}
+    grid = [BellQuery(p, b) for p in verify.GRID_P for b in verify.GRID_BETA]
+    bad = sum(label in labels for q in grid if q.ratio >= 2.0
+              for label, _, _ in verify.check_point(q))
     report("criterion-4 closed-form consistency", bad == 0,
            f"{bad} violations on the LargeP grid")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from bellbound import (BellQuery, DomainError, bell_dobinski,
                        bell_touchard_exact, log_mgf_bound)
 from bellbound import bounds, series, verify
-from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
     CANDIDATES,
     _ROUGH_FIT_GRID,
@@ -45,10 +45,7 @@ def log_uniform(lo, hi):
 class TestUpperGOptimized:
     def test_dominated_by_lambda0(self):
         for p, beta in [(10, 1), (50, 3), (4, 2)]:
-            q = BellQuery(p, beta)
-            lam0 = math.log(p / beta) - math.log(math.log(p / beta))
-            g, _ = upper_g_optimized(q)
-            assert g <= math.exp(log_mgf_bound(q, lam0)) * (1 + 1e-9)
+            assert verify.check_point(BellQuery(p, beta)) == []
 
     def test_sandwich_10_1(self):
         g, _ = upper_g_optimized(BellQuery(10, 1))
@@ -99,8 +96,7 @@ class TestUpperGOptimized:
         log_r = math.log(p) - math.log(beta)
         assert abs(lam + math.log(lam) - log_r) <= 1e-13 * log_r
         assert g <= upper_closed_form_largep(q) * (1 + 1e-13)
-        if p <= 500:
-            assert g >= series_root(p, beta) * (1 - 1e-9)
+        assert verify.check_point(q) == []
 
     def test_witness_is_w_at_small_ratio(self):
         # lambda_star = W(p/beta) to an ulp where p/beta is far below 1
@@ -184,8 +180,7 @@ class TestLowerH0:
 class TestLowerHContinuous:
     def test_below_series_root(self):
         for p, beta in [(10, 1), (2, 1), (2, 10), (60, 7)]:
-            val, _ = lower_h_continuous(BellQuery(p, beta))
-            assert val <= series_root(p, beta) * (1 + 1e-9)
+            assert verify.check_point(BellQuery(p, beta)) == []
 
     def test_near_h0(self):
         val, _ = lower_h_continuous(BellQuery(10, 1))
@@ -323,7 +318,7 @@ class TestLowerHContinuous:
         # (t_n + t_{n+1})^{1/p}, n = floor(x_star), keeps it below
         p, beta = 444.65, 5.8e-135
         val, x_star = lower_h_continuous(BellQuery(p, beta))
-        assert val <= series_root(p, beta) * (1 + REL_SLACK)
+        assert verify.check_point(BellQuery(p, beta)) == []
         n = max(1, math.floor(x_star))
         a, b = log_term(n, p, beta), log_term(n + 1, p, beta)
         cap = max(a, b) + math.log1p(math.exp(-abs(a - b)))
@@ -443,9 +438,7 @@ class TestRoughTriangle:
         assert 2.85 <= p_min < 2.851
         for p in [p_min + (3.5 - p_min) * i / 12 for i in range(13)]:
             for beta in [1.0, 2.5, 10.0, 333.3, 1e4, 1e5]:
-                q = BellQuery(p, beta)
-                assert rough_upper_triangle(q) >= series_root(p, beta) * (
-                    1 - 1e-9)
+                assert verify.check_point(BellQuery(p, beta)) == []
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -551,13 +544,17 @@ class TestBoundReport:
             assert any(e.startswith(f"{name}: peak index") for e in rep.errors)
 
     def test_single_terms_refused_where_p_log_k_overflows(self):
-        # p log k passes DBL_MAX from p ~ 2.6e305; the terms were inf
-        rep = bound_report(BellQuery(1e308, 1.0))
-        assert (rep.lower, rep.lower_method) == (1.0, "Jensen")
-        assert rep.lower <= rep.upper < math.inf
-        for name in ("H0Search", "HContinuous"):
-            assert any(e.startswith(f"{name}:") and "double range" in e
-                       for e in rep.errors)
+        # p log k passes DBL_MAX from p ~ 2.6e305; the terms were inf.  At
+        # the second point D(m) overflows too, and log t_m = inf - inf
+        for p, beta in ((1e308, 1.0),
+                        (1.3549863193146328e+308, 8.218407461554972e+307)):
+            rep = bound_report(BellQuery(p, beta))
+            assert (rep.lower, rep.lower_method) == (beta, "Jensen")
+            assert rep.lower <= rep.upper < math.inf
+            for name in ("H0Search", "HContinuous"):
+                assert any(e.startswith(f"{name}:") and "double range" in e
+                           for e in rep.errors)
+            assert not any("nan" in e for e in rep.errors)
 
 
 class TestSharedPeak:
@@ -709,14 +706,7 @@ class TestCandidates:
         # GOptimized is the inf over lambda of the MGF bound; the closed form
         # is the MGF bound at lambda0, and K+ * beta the one at lambda =
         # p/beta, maximised over p/beta <= 2
-        q = BellQuery(p, beta)
-        g, _ = upper_g_optimized(q)
-        for other in (upper_closed_form_largep, regime_upper_largebeta):
-            try:
-                bound = other(q)
-            except DomainError:
-                continue
-            assert g <= bound * (1 + 1e-12), other.__name__
+        assert verify.check_point(BellQuery(p, beta)) == []
 
     def test_report_calls_module_globals(self, monkeypatch):
         # a patched module attribute is what the report runs
@@ -757,19 +747,7 @@ class TestCandidates:
     @given(p=log_uniform(1.0, 500.0), beta=log_uniform(1e-300, 1e6))
     @settings(max_examples=300, deadline=None)
     def test_every_bound_on_its_side_or_refused(self, p, beta):
-        q = BellQuery(p, beta)
-        root = series_root(p, beta)
-        for c in CANDIDATES:
-            try:
-                value, _ = c.evaluate(q)
-            except DomainError:
-                continue
-            assert math.isfinite(value), c.name
-            assert c.on_side(value, root, REL_SLACK), (c.name, value, root)
-        rep = bound_report(q)
-        assert rep.lower <= root * (1 + REL_SLACK)
-        assert rep.upper >= root * (1 - REL_SLACK)
-
+        assert verify.check_point(BellQuery(p, beta)) == []
 
     @given(p=log_uniform(1.0, sys.float_info.max),
            beta=log_uniform(5e-324, sys.float_info.max))
@@ -777,17 +755,22 @@ class TestCandidates:
     @example(p=1.3549863193146328e+308, beta=8.218407461554972e+307)
     @settings(max_examples=300, deadline=None)
     def test_extreme_inputs_give_a_double_or_a_refusal(self, p, beta):
-        q = BellQuery(p, beta)
-        for c in CANDIDATES:
-            try:
-                value, _ = c.evaluate(q)
-            except DomainError:
-                continue
-            assert math.isfinite(value), (c.name, value)
-        rep = bound_report(q)
-        assert (rep.lower_method == "none") == (not math.isfinite(rep.lower))
-        if math.isfinite(rep.lower) and math.isfinite(rep.upper):
-            assert rep.lower <= rep.upper * (1 + REL_SLACK)
+        assert verify.check_point(BellQuery(p, beta)) == []
+
+    @pytest.mark.parametrize("label, change", [
+        ("RoughTriangle", {}),  # its value is patched to inf below
+        ("report.lower>upper", {"series": None, "lower": 1e9}),  # no root
+        ("report.lower_method", {"lower_method": "none"}),
+        ("report.kminus.holds", {"kminus": bounds.KMinusBound(
+            K_MINUS_FORMULA * 10, K_MINUS_FORMULA, "formula", False)}),
+    ])
+    def test_each_violation_is_found_alone(self, monkeypatch, label, change):
+        q = BellQuery(10, 10)  # LargeBeta, so the report carries K-
+        rep = dataclasses.replace(bound_report(q), **change)
+        monkeypatch.setattr(bounds, "CANDIDATES", tuple(
+            c._replace(evaluate=lambda _: (math.inf, None))
+            if c.name == label else c for c in CANDIDATES))
+        assert verify.check_point(q, rep) == [(label, 10, 10)]
 
 
 class TestRatioConvergence:
