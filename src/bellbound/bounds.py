@@ -9,11 +9,11 @@ objectives are evaluated in log-space.  CANDIDATES lists every public bound
 once; verify.check_point checks them all against the series at a point,
 and bound_report ranks the reported ones, with GOptimized alone on the
 upper side.  Every bound leaves log space through series.in_range, so it
-returns a finite double or raises DomainError.  Each query computes its peak frame, BellQuery.frame (the
-largest term's index m and log t_m), and the MGF optimum
-BellQuery.lambda_star once: the series, H0Search and HContinuous share
-the frame, and GOptimized reads lambda_star, which bound_report computes
-first so that it also seeds the peak search.  Where m has no double
+returns a finite double or raises DomainError.  Each query computes its
+peak frame, BellQuery.frame (the largest term's index m and log t_m), and
+the MGF optimum BellQuery.lambda_star once: the series, H0Search and
+HContinuous share the frame, and GOptimized reads lambda_star, which
+bound_report computes first so that it also seeds the peak search.  Where m has no double
 (p ~ 1e300 at beta = DBL_MAX), series.peak_index refuses on every access,
 and where p log k passes DBL_MAX (p ~ 2.6e305 at beta = 1) the single
 terms do; either way H0Search and HContinuous are refused and the report

@@ -59,12 +59,12 @@ def suite_oracles() -> list[CheckResult]:
 
 def check_point(q: BellQuery, report=None) -> list[tuple[str, float, float]]:
     """Each violation at q as (label, p, beta), against the series' root in
-    report (bounds.bound_report(q) unless given).  Each bounds.CANDIDATES
-    entry gives a DomainError or a finite double on its side of the root;
-    GOptimized lies under the MGF bounds it minimises (slack 1e-12); the
-    report's bounds lie on their sides and in order, lower_method is "none"
-    exactly where lower is not finite, and the K- flag agrees with the
-    series.  Slack REL_SLACK; without a root, only the root-free checks run."""
+    report (bounds.bound_report(q) unless given): a bounds.CANDIDATES entry
+    that is not a DomainError or a finite double on its side of the root,
+    GOptimized above a closed form it minimises (slack 1e-12), the report's
+    bounds off their sides or out of order, lower_method "none" where lower
+    is finite or the reverse, and a K- flag that disagrees with the series.
+    Slack REL_SLACK; without a root, only the root-free checks run."""
     from . import bounds
 
     if report is None:
@@ -95,8 +95,10 @@ def check_point(q: BellQuery, report=None) -> list[tuple[str, float, float]]:
         ("report.lower>upper", lower > report.upper * (1 + REL_SLACK)),
         ("report.lower_method",
          (report.lower_method == "none") == math.isfinite(lower)),
+        # a K- value above the root, flagged as holding, is listed once,
+        # as the KMinusLargeBeta violation
         ("report.kminus.holds", km is not None and root is not None
-         and km.holds != (km.value <= over)),
+         and "KMinusLargeBeta" not in bad and km.holds != (km.value <= over)),
     ) if failed]
     return [(label, q.p, q.beta) for label in bad]
 
@@ -106,6 +108,7 @@ def suite_sandwich() -> list[CheckResult]:
     constants, and the relative-error corollary."""
     from . import bounds
 
+    results = []
     violations = []
     large_beta = 0
     dev_by_p: dict[float, float] = {}
@@ -115,21 +118,24 @@ def suite_sandwich() -> list[CheckResult]:
             q = BellQuery(p, beta)
             report = bounds.bound_report(q)
             violations += check_point(q, report)
+            if report.series is None:  # the grid lies inside P_MAX
+                violations.append(("series", p, beta))
             large_beta += report.kminus is not None
-            if q.ratio >= 2.0:
+            if q.ratio >= 2.0:  # the closed form's regime
                 # deviation of B^{1/p} from p/(e ln r), r = p/beta, scaled
                 # by ln r / lnln r
-                lr = math.log(q.ratio)
+                lr = math.log(p / beta)
                 ref = p / (math.e * lr)
                 dev = abs(report.series_root - ref) / ref * lr / math.log(lr)
                 dev_by_p[p] = max(dev_by_p.get(p, -math.inf), dev)
 
-    results = [CheckResult(
+    results.append(CheckResult(
         "sandwich", not violations,
         f"{len(violations)} violations on {len(GRID_P)}x{len(GRID_BETA)} grid"
-        + (f"; first: {violations[0]}" if violations else ""))]
+        + (f"; first: {violations[0]}" if violations else "")))
     k_minus_max = max(bounds.K_MINUS_FORMULA, bounds.K_MINUS_PAPER)
-    flags_bad = sum(v[0] == "report.kminus.holds" for v in violations)
+    flags_bad = sum(v[0] in ("KMinusLargeBeta", "report.kminus.holds")
+                    for v in violations)
     results.append(CheckResult(
         "kminus-flags", k_minus_max <= 1.0 and not flags_bad,
         f"K- <= {k_minus_max} <= 1, so K- * beta <= beta <= B^(1/p) "
@@ -149,10 +155,13 @@ def suite_sandwich() -> list[CheckResult]:
 
     # Relative-error corollary: the normalized deviation is finite with a
     # stable running max over the top octave of p.
-    half = max(dev_by_p, default=0.0) / 2.0
-    running = max(dev_by_p.values(), default=-math.inf)
-    run_at_half = max((v for p, v in dev_by_p.items() if p <= half),
-                      default=None)
+    ps = sorted(dev_by_p)
+    running = -math.inf
+    run_at_half = None
+    for p in ps:
+        running = max(running, dev_by_p[p])
+        if p <= ps[-1] / 2.0:
+            run_at_half = running
     finite = all(math.isfinite(v) for v in dev_by_p.values())
     stable = run_at_half is not None and running <= run_at_half * (1 + 1e-12)
     results.append(CheckResult(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bellbound import (BellQuery, DomainError, bell_dobinski,
                        bell_touchard_exact, log_mgf_bound)
 from bellbound import bounds, series, verify
+from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
     CANDIDATES,
     _ROUGH_FIT_GRID,
@@ -45,7 +46,10 @@ def log_uniform(lo, hi):
 class TestUpperGOptimized:
     def test_dominated_by_lambda0(self):
         for p, beta in [(10, 1), (50, 3), (4, 2)]:
-            assert verify.check_point(BellQuery(p, beta)) == []
+            q = BellQuery(p, beta)
+            lam0 = math.log(p / beta) - math.log(math.log(p / beta))
+            g, _ = upper_g_optimized(q)
+            assert g <= math.exp(log_mgf_bound(q, lam0)) * (1 + 1e-9)
 
     def test_sandwich_10_1(self):
         g, _ = upper_g_optimized(BellQuery(10, 1))
@@ -96,7 +100,8 @@ class TestUpperGOptimized:
         log_r = math.log(p) - math.log(beta)
         assert abs(lam + math.log(lam) - log_r) <= 1e-13 * log_r
         assert g <= upper_closed_form_largep(q) * (1 + 1e-13)
-        assert verify.check_point(q) == []
+        if p <= 500:
+            assert g >= series_root(p, beta) * (1 - 1e-9)
 
     def test_witness_is_w_at_small_ratio(self):
         # lambda_star = W(p/beta) to an ulp where p/beta is far below 1
@@ -180,7 +185,8 @@ class TestLowerH0:
 class TestLowerHContinuous:
     def test_below_series_root(self):
         for p, beta in [(10, 1), (2, 1), (2, 10), (60, 7)]:
-            assert verify.check_point(BellQuery(p, beta)) == []
+            val, _ = lower_h_continuous(BellQuery(p, beta))
+            assert val <= series_root(p, beta) * (1 + 1e-9)
 
     def test_near_h0(self):
         val, _ = lower_h_continuous(BellQuery(10, 1))
@@ -318,7 +324,7 @@ class TestLowerHContinuous:
         # (t_n + t_{n+1})^{1/p}, n = floor(x_star), keeps it below
         p, beta = 444.65, 5.8e-135
         val, x_star = lower_h_continuous(BellQuery(p, beta))
-        assert verify.check_point(BellQuery(p, beta)) == []
+        assert val <= series_root(p, beta) * (1 + REL_SLACK)
         n = max(1, math.floor(x_star))
         a, b = log_term(n, p, beta), log_term(n + 1, p, beta)
         cap = max(a, b) + math.log1p(math.exp(-abs(a - b)))
@@ -438,7 +444,9 @@ class TestRoughTriangle:
         assert 2.85 <= p_min < 2.851
         for p in [p_min + (3.5 - p_min) * i / 12 for i in range(13)]:
             for beta in [1.0, 2.5, 10.0, 333.3, 1e4, 1e5]:
-                assert verify.check_point(BellQuery(p, beta)) == []
+                q = BellQuery(p, beta)
+                assert rough_upper_triangle(q) >= series_root(p, beta) * (
+                    1 - 1e-9)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -706,7 +714,9 @@ class TestCandidates:
         # GOptimized is the inf over lambda of the MGF bound; the closed form
         # is the MGF bound at lambda0, and K+ * beta the one at lambda =
         # p/beta, maximised over p/beta <= 2
-        assert verify.check_point(BellQuery(p, beta)) == []
+        rep = bound_report(BellQuery(p, beta))
+        assert rep.upper_method == "GOptimized"  # GOptimized answers here
+        assert verify.check_point(rep.query, rep) == []
 
     def test_report_calls_module_globals(self, monkeypatch):
         # a patched module attribute is what the report runs
@@ -747,7 +757,9 @@ class TestCandidates:
     @given(p=log_uniform(1.0, 500.0), beta=log_uniform(1e-300, 1e6))
     @settings(max_examples=300, deadline=None)
     def test_every_bound_on_its_side_or_refused(self, p, beta):
-        assert verify.check_point(BellQuery(p, beta)) == []
+        rep = bound_report(BellQuery(p, beta))
+        assert rep.series is not None  # p <= 500: the series answers
+        assert verify.check_point(rep.query, rep) == []
 
     @given(p=log_uniform(1.0, sys.float_info.max),
            beta=log_uniform(5e-324, sys.float_info.max))
@@ -761,6 +773,8 @@ class TestCandidates:
         ("RoughTriangle", {}),  # its value is patched to inf below
         ("report.lower>upper", {"series": None, "lower": 1e9}),  # no root
         ("report.lower_method", {"lower_method": "none"}),
+        ("KMinusLargeBeta", {"kminus": bounds.KMinusBound(  # listed once
+            math.inf, K_MINUS_FORMULA, "formula", True)}),
         ("report.kminus.holds", {"kminus": bounds.KMinusBound(
             K_MINUS_FORMULA * 10, K_MINUS_FORMULA, "formula", False)}),
     ])
