@@ -12,12 +12,11 @@ upper side.  Every bound leaves log space through series.in_range, so it
 returns a finite double or raises DomainError.  Each query computes its
 peak frame, BellQuery.frame (the largest term's index m and log t_m), and
 the MGF optimum BellQuery.lambda_star once: the series, H0Search and
-HContinuous share the frame, and GOptimized reads lambda_star, which
-bound_report computes first so that it also seeds the peak search.  Where m has no double
-(p ~ 1e300 at beta = DBL_MAX), series.peak_index refuses on every access,
-and where p log k passes DBL_MAX (p ~ 2.6e305 at beta = 1) the single
-terms do; either way H0Search and HContinuous are refused and the report
-answers with Jensen.
+HContinuous share the frame, and GOptimized reads lambda_star.  Where m
+has no double (p ~ 1e300 at beta = DBL_MAX), series.peak_index refuses on
+every access, and where p log k passes DBL_MAX (p ~ 2.6e305 at beta = 1)
+the single terms do; either way H0Search and HContinuous are refused and
+the report answers with Jensen.
 """
 from __future__ import annotations
 
@@ -95,9 +94,9 @@ def lower_h0_search(q: BellQuery) -> H0Result:
 
     The terms are unimodal in k (strictly decreasing ratio), so the maximum
     sits at the query's peak, and its log is the peak frame's log t_m:
-    q.frame, computed once per query (series.peak_index, seeded at
-    lambda_star) and shared with the series.  Its root_bound is refused
-    from p ~ 2.6e305 (at beta = 1), where p log k passes DBL_MAX.
+    q.frame, computed once per query (series.peak_index) and shared with
+    the series.  Its root_bound is refused from p ~ 2.6e305 (at beta = 1),
+    where p log k passes DBL_MAX.
     """
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
@@ -376,17 +375,15 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     series term and its neighbour) and Jensen's beta, a tie going to the
     larger method name.  Upper: the optimized MGF bound, GOptimized, the one
     reported upper candidate.  The regime labels the report; LargeBeta also
-    carries the K- candidate.  q.lambda_star, which GOptimized reads, is
-    computed first, so that it seeds the peak search of q.frame, which the
-    series, H0Search and HContinuous share: one Lambert W and one seeded
-    search per report.
+    carries the K- candidate.  The series, H0Search and HContinuous share
+    q.frame, and GOptimized reads q.lambda_star: one peak search and one
+    Lambert W per report.
     """
     if q.p < 1:
         raise DomainError(f"bound_report requires p >= 1, got p={q.p}")
     regime = q.regime
     errors: list[str] = []
     witness: dict = {}
-    q.lambda_star  # first, so that it seeds the peak search
     try:
         series = bell_dobinski(q, tol=series_tol)
         series.root(q.p)

@@ -34,9 +34,9 @@ class BellQuery:
     Two things are computed once per query, on first use, and shared: its
     peak frame, `frame` (the index `peak` of its largest Dobinski term and
     that term's log), which the series, H0Search and HContinuous read, and
-    the MGF optimum `lambda_star`, which GOptimized reads and which seeds
-    the peak search wherever it is known first.  Neither is a field:
-    equality, hashing, repr and dataclasses.replace see only p and beta.
+    the MGF optimum `lambda_star`, which GOptimized reads.  Neither is a
+    field: equality, hashing, repr and dataclasses.replace see only p and
+    beta.
     """
 
     p: float
@@ -67,19 +67,10 @@ class BellQuery:
 
     @cached_property
     def frame(self) -> tuple:
-        """_peak_frame at m = peak_index(p, beta), on first access.  The
-        search is seeded at lambda_star where that is known already, and
-        otherwise from p = _SEED_MIN_P = 30, where a Lambert W (~1.1 us,
-        about 3 ratio evaluations) starts to pay: the seeded and plain
-        searches break even there (3.9 us each, beta log-uniform in
-        [0.1, 1e5], 2-vCPU Xeon), and at p = 100 take 3.8 and 4.4 us.  A
+        """_peak_frame at m = peak_index(p, beta), on first access.  A
         refusal is not cached, so each access that needs the peak raises it
         again."""
-        p, beta = self.p, self.beta
-        lam = self.__dict__.get("lambda_star")
-        if lam is None and p >= _SEED_MIN_P:
-            lam = self.lambda_star
-        return _peak_frame(p, beta, peak_index(p, beta, lam))
+        return _peak_frame(self.p, self.beta, peak_index(self.p, self.beta))
 
     @property
     def peak(self) -> int:
@@ -306,18 +297,12 @@ def _log_term_ratio(k: int, p: float, beta: float, log_beta: float) -> float:
     return lead + p * _log1p_minus_x(1 / k) - _log1p_minus_x(d / b)
 
 
-# The least p from which BellQuery.frame computes lambda_star only to seed
-# the peak search; its docstring gives the measurement.
-_SEED_MIN_P = 30.0
-
-
-def peak_index(p: float, beta: float, lam: float | None = None) -> int:
+def peak_index(p: float, beta: float) -> int:
     """Index of the largest Dobinski term: the smallest k >= 1 whose
     computed log term ratio, _log_term_ratio, is <= 0 (but see beta >= 2**52
-    below).  At an exact tie
-    t_k = t_{k+1} that is the earlier index k wherever the ratio there
-    rounds to 0 (t_2 = t_3 at (p, beta) = (1, 2), say), and k + 1 where it
-    rounds above 0; either is a largest term.
+    below).  At an exact tie t_k = t_{k+1} that is the earlier index k
+    wherever the ratio there rounds to 0 (t_2 = t_3 at (p, beta) = (1, 2),
+    say), and k + 1 where it rounds above 0; either is a largest term.
 
     Bisects on the strictly decreasing ratio, whose sign changes between
     k = floor(beta) - 1 and k = beta + p + 1: ~log2(p + 4) evaluations.
@@ -329,33 +314,14 @@ def peak_index(p: float, beta: float, lam: float | None = None) -> int:
     the computed ratio crosses 0 many times within ~1e-17 k of the peak
     (its rounded log1p corrections step while the lead term falls); there
     bisection returns one crossing, a largest term to within rounding.
-
-    lam = W(p/beta), the MGF optimum, seeds the search.  At k = p/lam,
-    p/k = lam = ln(k/beta), so the ratio p ln(1 + 1/k) - ln((k + 1)/beta)
-    is ~ -1/k - (p - 1)/(2 k^2) there: to second order in 1/k it vanishes
-    between p/lam - 1 and p/lam - 1/2, and the peak is floor(p/lam) or the
-    index after it.  The ratio there and at its neighbour on the peak's
-    side decide it in two evaluations, or, past 2**53, where floor(p/lam)
-    misses by more, narrow the bracket.  No seed from beta = 2**52, where
-    it could meet another crossing than bisection.  BellQuery.frame says
-    where the seed pays for its Lambert W.  The bracket's upper end is
-    clamped to the least int that float() refuses, so every ratio takes a
-    double k; a peak with no double (p ~ 1e300 at beta = DBL_MAX, say) is
-    refused with DomainError.
+    The bracket's upper end is clamped to the least int that float()
+    refuses, so every ratio takes a double k; a peak with no double
+    (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
     """
     log_beta = math.log(beta)
     top = 2**1024 - 2**970  # the least int that float() refuses
     lo, hi = max(0, math.floor(beta) - 2), min(
         math.ceil(beta) + math.ceil(p) + 1, top)
-    if lam and beta < _INTEGER_FLOATS and p / lam < hi:
-        k = max(lo + 1, math.floor(p / lam))
-        for _ in range(2):  # the seed, then its neighbour on the peak's side
-            if not lo < k < hi:
-                break
-            if _log_term_ratio(k, p, beta, log_beta) > 0.0:
-                lo, k = k, k + 1
-            else:
-                hi, k = k, k - 1
     while hi - lo > 1:  # ratio(lo) > 0 >= ratio(hi)
         mid = (lo + hi) // 2
         if _log_term_ratio(mid, p, beta, log_beta) > 0.0:

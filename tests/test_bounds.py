@@ -583,7 +583,7 @@ class TestSharedPeak:
         calls = []
 
         def counted(*args):
-            calls.append(args[:2])  # (p, beta), without the seed lambda*
+            calls.append(args)  # (p, beta)
             return peak_index(*args)
 
         monkeypatch.setattr(series, "peak_index", counted)
@@ -618,8 +618,8 @@ class TestSharedPeak:
         (37, 3.3), (1.5, 40.0), (12, 3e3), (240.0, 1e5), (1.0, 1e-300),
         (2.0, 1e-310), (1e300, 1e-300), (1e300, sys.float_info.max)])
     def test_one_lambert_w_per_report(self, monkeypatch, p, beta):
-        # lambda* seeds the peak search and is GOptimized's witness; where
-        # p/beta overflows it comes from logs, without W
+        # lambda* is GOptimized's witness; where p/beta overflows it comes
+        # from logs, without W
         calls = []
         lambert_w = series.lambert_w
 
@@ -636,15 +636,15 @@ class TestSharedPeak:
 
     @pytest.mark.parametrize("p,beta", [(3.0, 2.0), (4.0, 300.0), (29.0, 5.0),
                                         (30.0, 5.0), (120.0, 1e4)])
-    def test_bare_series_takes_w_only_to_seed(self, monkeypatch, p, beta):
-        # below series._SEED_MIN_P the series' peak search is plain bisection
+    def test_bare_series_takes_no_w(self, monkeypatch, p, beta):
+        # the peak search is plain bisection at every p
         calls = []
         lambert_w = series.lambert_w
         monkeypatch.setattr(series, "lambert_w",
                             lambda x: calls.append(x) or lambert_w(x))
         q = BellQuery(p, beta)
         bell_dobinski(q)
-        assert len(calls) == (p >= series._SEED_MIN_P)
+        assert calls == []
         assert q.peak == peak_index(p, beta)
 
     @pytest.mark.parametrize("p,beta", POINTS)

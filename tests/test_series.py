@@ -301,8 +301,8 @@ class TestPeakIndex:
 
     @staticmethod
     def bisection(p, beta):
-        # the search without a seed, from the checked lower end
-        # max(1, floor(beta) - 1): the reference for the seeded search
+        # the search from the checked lower end max(1, floor(beta) - 1):
+        # peak_index starts one below it, at an end it never evaluates
         log_beta = math.log(beta)
         lo = max(1, math.floor(beta) - 1)
         hi = math.ceil(beta) + math.ceil(p) + 1
@@ -326,45 +326,15 @@ class TestPeakIndex:
     @example(p=1.0, beta=2.0)  # t_2 = t_3
     @example(p=2.4139208466070818e72, beta=8.906841986498795e72)
     @settings(max_examples=300, deadline=None)
-    def test_seeded_matches_bisection(self, p, beta):
-        # the last example: a ratio that crosses 0 many times near the peak,
-        # where a seed could land on another crossing, so none is taken
-        lam = BellQuery(p, beta).lambda_star
+    def test_matches_checked_bisection(self, p, beta):
+        # the last example: a ratio that crosses 0 many times near the peak
         try:
             want = self.bisection(p, beta)
         except DomainError:
-            for seed in (None, lam):
-                with pytest.raises(DomainError, match="peak index"):
-                    peak_index(p, beta, seed)
+            with pytest.raises(DomainError, match="peak index"):
+                peak_index(p, beta)
             return
-        assert peak_index(p, beta, lam) == peak_index(p, beta) == want
-
-    def test_seeded_exact_ties(self):
-        # the exact ties of test_exact_ties, from the seed
-        ties = 0
-        for p in range(9):
-            for k in range(1, 200):
-                b = Fraction(k) ** p / Fraction(k + 1) ** (p - 1)
-                beta = float(b)
-                if Fraction(beta) != b:
-                    continue
-                ties += 1
-                p_f = float(p)
-                lam = BellQuery(p_f, beta).lambda_star
-                assert peak_index(p_f, beta, lam) == self.bisection(p_f, beta)
-        assert ties == 446
-
-    @pytest.mark.parametrize("p", [2.0, 40.0, 500.0])
-    def test_seed_decides_in_two_evaluations(self, monkeypatch, p):
-        calls = []
-        ratio = series._log_term_ratio
-        monkeypatch.setattr(series, "_log_term_ratio",
-                            lambda *args: calls.append(args) or ratio(*args))
-        for beta in (0.1, 1.0, 7.3, 50.0, 3e3, 1e5):
-            lam = BellQuery(p, beta).lambda_star
-            calls.clear()
-            m = peak_index(p, beta, lam)
-            assert len(calls) <= 2 and m == self.bisection(p, beta)
+        assert peak_index(p, beta) == want
 
     @pytest.mark.parametrize("p", [0.0, 2.0, 800.0, 2000.0])
     @pytest.mark.parametrize("beta", [5e-324, 1e-320])
@@ -437,6 +407,24 @@ def log_error(res, exact, mpmath) -> float:
                                       - mpmath.log(exact))))
 
 
+def mp_log_term(k, p, beta, mpmath):
+    """log t_k = p log k + k log beta - beta - log k!, to 50 digits."""
+    with mpmath.workdps(50):
+        mb = mpmath.mpf(beta)
+        return (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
+                - mpmath.loggamma(k + 1))
+
+
+def mp_dobinski(p, beta, mpmath, k_max=None):
+    """The Dobinski sum of t_k over 1 <= k < k_max, to 50 digits; k_max
+    defaults to beta + p + 40 sqrt(beta + p) + 60."""
+    if k_max is None:
+        k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
+    with mpmath.workdps(50):
+        return mpmath.fsum(mpmath.exp(mp_log_term(k, p, beta, mpmath))
+                           for k in range(1, k_max))
+
+
 def unit_steps(p, beta, tol=1e-12):
     """The series summed term by term, at any beta."""
     frame = series._peak_frame(p, beta, peak_index(p, beta))
@@ -468,15 +456,7 @@ class TestCertificate:
     def test_total_error_vs_mpmath(self, p, beta):
         mpmath = pytest.importorskip("mpmath")
         res = bell_dobinski(BellQuery(p, beta), tol=1e-12)
-        with mpmath.workdps(50):
-            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
-            k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
-            total = mpmath.fsum(
-                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
-                           - mpmath.loggamma(k + 1) - mb)
-                for k in range(1, k_max))
-            err = float(abs(mpmath.expm1(mpmath.mpf(res.log_value)
-                                         - mpmath.log(total))))
+        err = log_error(res, mp_dobinski(p, beta, mpmath), mpmath)
         assert err <= total_certificate(res)
 
     def test_rounding_past_half_tol_is_reported_not_raised(self):
@@ -633,13 +613,7 @@ class TestTrapezoid:
         assert trap.method == "Trapezoid"
         diff = abs(math.expm1(trap.log_value - steps.log_value))
         assert diff <= total_certificate(trap) + total_certificate(steps)
-        with mpmath.workdps(50):
-            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
-            k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
-            total = mpmath.fsum(
-                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
-                           - mpmath.loggamma(k + 1) - mb)
-                for k in range(1, k_max))
+        total = mp_dobinski(p, beta, mpmath)
         assert certificate_holds(trap, log_error(trap, total, mpmath), tol)
 
     @pytest.mark.parametrize("beta", [1e4, 1e100, sys.float_info.max])
@@ -687,8 +661,7 @@ class TestPoissonRounding:
         mpmath = pytest.importorskip("mpmath")
         got, err = series._log_dr(k, beta)
         with mpmath.workdps(50):
-            b = mpmath.mpf(beta)
-            want = (-(k * mpmath.log(b) - b - mpmath.loggamma(k + 1))
+            want = (-mp_log_term(k, 0, beta, mpmath)
                     - mpmath.log(2 * mpmath.pi * k) / 2)
             return float(abs(got - want) / series._U), err
 
@@ -701,12 +674,7 @@ class TestPoissonRounding:
         tol = 1e-12
         res = bell_dobinski(BellQuery(60.8, 181.96), tol=tol)
         assert math.exp(res.rounding_bound_log) < tol / 2
-        with mpmath.workdps(50):
-            mp, mb = mpmath.mpf(60.8), mpmath.mpf(181.96)
-            total = mpmath.fsum(
-                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
-                           - mpmath.loggamma(k + 1) - mb)
-                for k in range(1, 700))
+        total = mp_dobinski(60.8, 181.96, mpmath, k_max=700)
         assert certificate_holds(res, log_error(res, total, mpmath), tol)
 
     @given(beta=st.floats(-3.0, 20.0).map(lambda t: 10.0**t),
@@ -734,10 +702,7 @@ class TestPoissonRounding:
         got = log_term(k, p, beta)
         _, _, dr_err, _, peak_err = series._peak_frame(p, beta, k)
         with mpmath.workdps(50):
-            mb = mpmath.mpf(beta)
-            want = (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
-                    - mpmath.loggamma(k + 1))
-            seen = float(abs(got - want))
+            seen = float(abs(got - mp_log_term(k, p, beta, mpmath)))
         assert seen <= peak_err + series._U * dr_err
 
     @given(p=st.floats(1e-3, 500.0), beta=st.floats(-3.0, 3.0).map(
@@ -747,13 +712,7 @@ class TestPoissonRounding:
         mpmath = pytest.importorskip("mpmath")
         tol = 1e-12
         res = bell_dobinski(BellQuery(p, beta), tol=tol)
-        with mpmath.workdps(50):
-            mp, mb = mpmath.mpf(p), mpmath.mpf(beta)
-            k_max = int(beta + p + 40 * math.sqrt(beta + p) + 60)
-            total = mpmath.fsum(
-                mpmath.exp(mp * mpmath.log(k) + k * mpmath.log(mb)
-                           - mpmath.loggamma(k + 1) - mb)
-                for k in range(1, k_max))
+        total = mp_dobinski(p, beta, mpmath)
         assert certificate_holds(res, log_error(res, total, mpmath), tol)
 
 
@@ -795,9 +754,7 @@ class TestLogOffset:
         frame = series._peak_frame(p, beta, m)
         got, err = series._log_offset(k, p, beta, frame)
         with mpmath.workdps(50):
-            mb = mpmath.mpf(beta)
-            want = (mpmath.mpf(p) * mpmath.log(k) + k * mpmath.log(mb) - mb
-                    - mpmath.loggamma(k + 1) - mpmath.mpf(frame[3]))
+            want = mp_log_term(k, p, beta, mpmath) - mpmath.mpf(frame[3])
             seen = float(abs(got - want))
         assert seen <= series._U * err + frame[4]
 
