@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError
-from .series import BellQuery, bell_dobinski, in_range
+from .series import BellQuery, _cached, bell_dobinski, in_range
 
 ENUM_BUDGET = 1_000_000
 REL_SLACK = 1e-9       # relative slack of every verified inequality
@@ -47,7 +47,7 @@ class DiscreteDist:
             if not (0.0 < pr <= 1.0):
                 raise DomainError(f"atom probability {pr} outside (0, 1]")
 
-    @functools.cached_property
+    @_cached
     def top(self) -> tuple[float, float]:
         """The largest value and math.frexp's binary exponent of it, or
         -inf if it is 0, on first use: _scale_exponent reads the exponent
@@ -225,7 +225,7 @@ def exact_sum_moment(dists: list[DiscreteDist], p: float) -> SumMomentResult:
         value = _enumerated_moment(dists, p, e)
         method = "Enumeration"
     value, = _scale_back((value,), e, p, what)
-    return SumMomentResult(value=value, method=method)
+    return SumMomentResult(value, method)
 
 
 def _convolved_moment(dists: list[DiscreteDist], p: int, e: int) -> float:

@@ -54,7 +54,7 @@ def upper_g_optimized(q: BellQuery) -> tuple[float, float]:
     The log-objective is strictly convex in lambda and stationary where
     lambda * e^lambda = p/beta, so lambda_star = W(p/beta) in closed form:
     the query's q.lambda_star, computed once per query (from logs where
-    p/beta overflows) and shared with the peak search.
+    p/beta overflows).
     """
     if q.p < 1:
         raise DomainError(f"upper_g_optimized requires p >= 1, got p={q.p}")
@@ -101,7 +101,7 @@ def lower_h0_search(q: BellQuery) -> H0Result:
     if q.p <= 0:
         raise DomainError(f"lower_h0_search requires p > 0, got p={q.p}")
     m, _, _, log_peak, _ = q.frame
-    return H0Result(log_bound_on_b=log_peak, k_star=m, p=q.p)
+    return H0Result(log_peak, m, q.p)  # log_bound_on_b, k_star, p
 
 
 def lower_h_continuous(q: BellQuery) -> tuple[float, float]:
@@ -231,8 +231,9 @@ def regime_lower_largebeta(q: BellQuery) -> KMinusBound:
         raise DomainError(f"requires p >= 1, got p={q.p}")
     if q.ratio > 2.0:
         raise DomainError(f"regime p/beta <= 2 violated: p/beta = {q.ratio}")
-    return KMinusBound(value=K_MINUS_FORMULA * q.beta, constant=K_MINUS_FORMULA,
-                       constant_label="formula", holds=K_MINUS_FORMULA <= 1.0)
+    # value, constant, constant_label, holds
+    return KMinusBound(K_MINUS_FORMULA * q.beta, K_MINUS_FORMULA, "formula",
+                       K_MINUS_FORMULA <= 1.0)
 
 
 # The grid of 40 log-spaced p in [2, 200] on which the rough constant is
@@ -407,8 +408,6 @@ def bound_report(q: BellQuery, series_tol: float = 1e-12) -> BoundReport:
     kminus = regime_lower_largebeta(q) if regime is Regime.LARGE_BETA else None
     lower, lower_method = max(cands["lower"], default=(math.nan, "none"))
     upper, upper_method = min(cands["upper"], default=(math.nan, "none"))
-    return BoundReport(query=q, regime=regime, lower=lower,
-                       lower_method=lower_method, upper=upper,
-                       upper_method=upper_method, witness=witness,
-                       series=series, kminus=kminus,
-                       errors=tuple(errors))
+    # positional, in field order
+    return BoundReport(q, regime, lower, lower_method, upper, upper_method,
+                       witness, series, kminus, tuple(errors))

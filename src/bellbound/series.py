@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import BudgetError, DomainError
 
@@ -27,6 +27,22 @@ class Regime(Enum):
     LARGE_BETA = "LargeBeta"
 
 
+class _cached:
+    """A cached property without the lock that the standard one takes on
+    every first read before Python 3.12: the first read stores the value in
+    the instance __dict__ (past a frozen dataclass's __setattr__), where
+    later reads find it before this descriptor.  A raise stores nothing."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class BellQuery:
     """A (p, beta) evaluation point.  p >= 0, beta > 0.
@@ -34,9 +50,11 @@ class BellQuery:
     Two things are computed once per query, on first use, and shared: its
     peak frame, `frame` (the index `peak` of its largest Dobinski term and
     that term's log), which the series, H0Search and HContinuous read, and
-    the MGF optimum `lambda_star`, which GOptimized reads.  Neither is a
-    field: equality, hashing, repr and dataclasses.replace see only p and
-    beta.
+    the MGF optimum `lambda_star`, which GOptimized reads.  Each is a
+    _cached property: its first read stores it in the instance __dict__,
+    taking no lock, and a refusal stores nothing, so every read that needs
+    a refused value raises again.  Neither is a field: equality, hashing,
+    repr and dataclasses.replace see only p and beta.
     """
 
     p: float
@@ -52,7 +70,7 @@ class BellQuery:
     def ratio(self) -> float:
         return self.p / self.beta
 
-    @cached_property
+    @_cached
     def lambda_star(self) -> float:
         """The MGF optimum lambda* = W(p/beta), where lambda e^lambda = p/beta.
         Where p/beta overflows, lambda* solves lambda + ln lambda = ln(p/beta)
@@ -65,7 +83,7 @@ class BellQuery:
             lam -= (lam + math.log(lam) - log_r) / (1.0 + 1.0 / lam)
         return lam
 
-    @cached_property
+    @_cached
     def frame(self) -> tuple:
         """_peak_frame at m = peak_index(p, beta), on first access.  A
         refusal is not cached, so each access that needs the peak raises it
@@ -265,6 +283,11 @@ def _peak_frame(p: float, beta: float, m: int) -> tuple:
 # Doubles from 2**52 up are integers.
 _INTEGER_FLOATS = 2.0**52
 
+# The least int that float() refuses, the midpoint of DBL_MAX = 2**1024 -
+# 2**971 and 2**1024: from it up ints round to 2**1024 (a tie goes to the
+# even one), which overflows.  peak_index clamps its bracket to it.
+_NO_DOUBLE = 2**1024 - 2**970
+
 
 def _log1p_minus_x(x: float) -> float:
     """log(1 + x) - x without the cancellation at small |x|."""
@@ -319,16 +342,15 @@ def peak_index(p: float, beta: float) -> int:
     (p ~ 1e300 at beta = DBL_MAX, say) is refused with DomainError.
     """
     log_beta = math.log(beta)
-    top = 2**1024 - 2**970  # the least int that float() refuses
     lo, hi = max(0, math.floor(beta) - 2), min(
-        math.ceil(beta) + math.ceil(p) + 1, top)
+        math.ceil(beta) + math.ceil(p) + 1, _NO_DOUBLE)
     while hi - lo > 1:  # ratio(lo) > 0 >= ratio(hi)
         mid = (lo + hi) // 2
         if _log_term_ratio(mid, p, beta, log_beta) > 0.0:
             lo = mid
         else:
             hi = mid
-    if hi == top:
+    if hi == _NO_DOUBLE:
         raise DomainError(f"peak index of p={p}, beta={beta} exceeds DBL_MAX")
     return hi
 
@@ -362,6 +384,7 @@ def _log_offset(k: int, p: float, beta: float,
 # sd_a <= sqrt(var) and g_min >= log(2/u); most series calls stop there.
 _PI_SQUARED = math.pi**2
 _H5_VAR = 12.5 * math.log(2.0 / _U)
+_LOG_2, _LOG_16, _LOG_8U = math.log(2.0), math.log(16.0), math.log(8.0 * _U)
 
 
 def _trapezoid_step(p: float, m: int, tol: float):
@@ -412,18 +435,19 @@ def _trapezoid_step(p: float, m: int, tol: float):
     if _PI_SQUARED * var < _H5_VAR:
         return None
     log_tol = math.log(tol)  # 1/tol overflows at subnormal tol
-    far = math.sqrt(2.0 * (math.log(2.0) - log_tol)) + 2.0
+    far = math.sqrt(2.0 * (_LOG_2 - log_tol)) + 2.0
     floor = m - far * math.sqrt(var)
     if floor <= 0.0:
         return None
     sd_a = math.sqrt(floor / (1.0 + p / floor))  # c(floor)^(-1/2)
-    g_min = math.log(16.0) - min(log_tol, math.log(8.0 * _U))
+    g_min = _LOG_16 - min(log_tol, _LOG_8U)
     h = 2 * int(0.5 * math.pi * sd_a * math.sqrt(2.0 / g_min) - 0.5) + 1
     if h < 5:
         return None
     g_h = 2.0 * (math.pi * sd_a / h) ** 2
-    a_h, a_1 = (2.0 * math.exp(-g) / -math.expm1(-2.0 * g)  # csch(g)
-                for g in (g_h, g_h * h * h))
+    g_1 = g_h * h * h
+    a_h = 2.0 * math.exp(-g_h) / -math.expm1(-2.0 * g_h)  # csch(g_h)
+    a_1 = 2.0 * math.exp(-g_1) / -math.expm1(-2.0 * g_1)  # csch(g_1)
     return h, (a_h + a_1) / (1.0 - a_h), floor
 
 
@@ -523,14 +547,11 @@ def _walk(p: float, beta: float, frame: tuple, tol: float, h: int = 1,
         s = t
         terms += 1
 
-    return EvalResult(
-        log_value=log_peak + log_s,
-        terms_used=terms,
-        tail_bound_log=math.log(tails) - log_s if tails else -math.inf,
-        peak_index=m,
-        rounding_bound_log=math.log(rounding),
-        method="Trapezoid" if rule else "Series",
-    )
+    # positional, in field order: log_value, terms_used, tail_bound_log,
+    # peak_index, rounding_bound_log, method
+    return EvalResult(log_peak + log_s, terms,
+                      math.log(tails) - log_s if tails else -math.inf, m,
+                      math.log(rounding), "Trapezoid" if rule else "Series")
 
 
 def bell_dobinski(q: BellQuery, tol: float = 1e-12) -> EvalResult:

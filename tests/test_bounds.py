@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bellbound import (BellQuery, DomainError, bell_dobinski,
                        bell_touchard_exact, log_mgf_bound)
-from bellbound import bounds, series, verify
+from bellbound import applications, bounds, series, verify
 from bellbound.applications import REL_SLACK
 from bellbound.bounds import (
     CANDIDATES,
@@ -551,6 +551,12 @@ class TestBoundReport:
         for name in ("H0Search", "HContinuous"):
             assert any(e.startswith(f"{name}: peak index") for e in rep.errors)
 
+    def test_peak_just_inside_the_double_range_answers(self):
+        # p just below 2**970, where peak_index's clamp starts to bind
+        rep = bound_report(BellQuery(9.9e291, sys.float_info.max))
+        assert not any(e.startswith(("H0Search:", "HContinuous:"))
+                       for e in rep.errors)
+
     def test_single_terms_refused_where_p_log_k_overflows(self):
         # p log k passes DBL_MAX from p ~ 2.6e305; the terms were inf.  At
         # the second point D(m) overflows too, and log t_m = inf - inf
@@ -660,6 +666,26 @@ class TestSharedPeak:
         assert (rep.upper, rep.upper_method) == (g, "GOptimized")
         assert rep.witness == {"k_star": h0.k_star, "x_star": x_star,
                                "lambda_star": lam}
+
+
+class TestRecordFieldOrder:
+    # the per-query records are built positionally: a reordered field must
+    # fail here, not swap two values
+    def test_dataclass_fields(self):
+        for record, names in (
+                (series.EvalResult, ("log_value", "terms_used",
+                                     "tail_bound_log", "peak_index",
+                                     "rounding_bound_log", "method")),
+                (bounds.BoundReport, ("query", "regime", "lower",
+                                      "lower_method", "upper", "upper_method",
+                                      "witness", "series", "kminus", "errors")),
+                (applications.SumMomentResult, ("value", "method", "stderr"))):
+            assert tuple(f.name for f in dataclasses.fields(record)) == names
+
+    def test_named_tuple_fields(self):
+        assert bounds.H0Result._fields == ("log_bound_on_b", "k_star", "p")
+        assert bounds.KMinusBound._fields == ("value", "constant",
+                                              "constant_label", "holds")
 
 
 class TestRefusalGuards:

@@ -383,6 +383,18 @@ class TestPeakIndex:
         # ~DBL_MAX + 50 rounds to DBL_MAX, so it is kept
         assert peak_index(50.0, sys.float_info.max) > sys.float_info.max
 
+    def test_clamp_is_the_least_int_without_a_double(self):
+        top = series._NO_DOUBLE
+        assert float(top - 1) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(top)
+
+    def test_both_sides_of_the_clamp_at_dbl_max(self):
+        # DBL_MAX + p stays below the clamp while p < 2**970 ~ 9.979e291
+        assert float(peak_index(9.9e291, sys.float_info.max)) < math.inf
+        with pytest.raises(DomainError, match="peak index .* exceeds DBL_MAX"):
+            peak_index(9.98e291, sys.float_info.max)
+
     def test_series_at_smallest_beta(self):
         # B(2, beta) = beta^2 + beta
         res = bell_dobinski(BellQuery(2.0, 5e-324))
